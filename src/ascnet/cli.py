@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import statistics
 import sys
 from pathlib import Path
@@ -266,9 +265,6 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    if os.environ.get("ASC_THREADS"):
-        # Cap BLAS threading; also keeps fast-mode runs reproducible.
-        os.environ.setdefault("OMP_NUM_THREADS", os.environ["ASC_THREADS"])
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

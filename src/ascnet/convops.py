@@ -194,21 +194,40 @@ def conv_dilated_backward(x, layer, grad_y):
 
 @dataclass
 class SamplingPlan:
-    """Precomputed fractional sampling geometry for one rate field.
+    """The bilinear sampler for one rate field, as two sparse operators.
 
-    For each of the 9 taps and each of the 4 bilinear corner neighbors of
-    every output pixel: flattened gather index (clipped in-bounds), tent
-    weight (zero for out-of-bounds corners), and the weight's derivative
-    with respect to the pixel's rate value. Shared by every adaptive layer
+    `S` is a (9*H*W, H*W) CSR matrix whose row t*H*W + p reads tap t of
+    output pixel p: four non-zeros, the tent weights of the sample point's
+    bilinear corners (zero for corners off the image, whose column index
+    is clipped in-bounds). `D` holds the weights' derivatives with respect
+    to the pixel's rate on the same sparsity pattern. Sampling every
+    channel is then one product `S @ X.T`. Shared by every adaptive layer
     consuming the same rate field.
     """
 
     height: int
     width: int
-    rates: np.ndarray                      # (H*W,)
-    idx: np.ndarray = field(repr=False)    # (9, 4, H*W) int
-    weight: np.ndarray = field(repr=False)          # (9, 4, H*W)
-    dweight_drate: np.ndarray = field(repr=False)   # (9, 4, H*W)
+    rates: np.ndarray                  # (H*W,)
+    S: object = field(repr=False)      # scipy CSR, (9*H*W, H*W)
+    D: object = field(repr=False)      # scipy CSR, same pattern as S
+
+    def _corner_view(self, a):
+        return a.reshape(9, -1, 4).transpose(0, 2, 1)
+
+    @property
+    def idx(self) -> np.ndarray:
+        """(9, 4, H*W) clipped flat corner index; a view of `S.indices`."""
+        return self._corner_view(self.S.indices)
+
+    @property
+    def weight(self) -> np.ndarray:
+        """(9, 4, H*W) tent weight; a view of `S.data`."""
+        return self._corner_view(self.S.data)
+
+    @property
+    def dweight_drate(self) -> np.ndarray:
+        """(9, 4, H*W) rate derivative of the tent weight; a view of `D.data`."""
+        return self._corner_view(self.D.data)
 
 
 def _check_rates(rates: np.ndarray, h: int, w: int) -> np.ndarray:
@@ -226,57 +245,73 @@ def _check_rates(rates: np.ndarray, h: int, w: int) -> np.ndarray:
 
 
 def build_sampling_plan(rates: np.ndarray, h: int, w: int) -> SamplingPlan:
-    """Geometry for sampling at p0 + r(p0) * tap for every pixel and tap.
+    """Sampling operators for p0 + r(p0) * tap at every pixel and tap.
 
     The rate derivative of the tent weight uses the floor-branch (one-sided)
     derivative, so it is well defined and non-zero at integer sample
     offsets; this keeps the rate field trainable from its all-ones start.
     """
+    # Deferred: importing scipy costs about half a model set-up, and only
+    # adaptive layers ever build a plan.
+    from scipy import sparse
+
     r = _check_rates(rates, h, w)
     dtype = r.dtype
-    yy, xx = np.meshgrid(
-        np.arange(h, dtype=dtype), np.arange(w, dtype=dtype), indexing="ij"
-    )
-    yy = yy.reshape(-1)
-    xx = xx.reshape(-1)
     n = h * w
+    index_dtype = np.int32 if 36 * n <= np.iinfo(np.int32).max else np.int64
+    offsets = np.array(TAP_OFFSETS, dtype=dtype)           # (9, 2)
+    grid = np.divmod(np.arange(n), w)                      # (y, x) per pixel
+    # Per axis, for the floor corner and the one after it, as (9, N)
+    # arrays: the tent weight and its rate derivative (tent slope times
+    # dp/dr = tap offset), both zeroed off the image, and the clipped
+    # coordinate.
+    axes = []
+    for a, size in ((0, h), (1, w)):
+        dp_dr = offsets[:, a:a + 1]
+        p = grid[a].astype(dtype) + r * dp_dr
+        p0 = np.floor(p)
+        f = p - p0
+        sides = []
+        for side, tent, slope in ((0, 1 - f, -1), (1, f, 1)):
+            q = p0 + side
+            qc = np.clip(q, 0, size - 1)
+            inb = qc == q
+            sides.append((tent * inb, (slope * dp_dr) * inb, qc.astype(index_dtype)))
+        axes.append(sides)
 
-    idx = np.empty((9, 4, n), dtype=np.intp)
-    weight = np.empty((9, 4, n), dtype=dtype)
-    dwdr = np.empty((9, 4, n), dtype=dtype)
-
-    for t, (dy, dx) in enumerate(TAP_OFFSETS):
-        py = yy + r * dy
-        px = xx + r * dx
-        y0 = np.floor(py)
-        x0 = np.floor(px)
-        fy = py - y0
-        fx = px - x0
-        wy = (1.0 - fy, fy)
-        wx = (1.0 - fx, fx)
-        dwy = (-1.0, 1.0)
-        y0i = y0.astype(np.intp)
-        x0i = x0.astype(np.intp)
-        for k, (iy, ix) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-            qy = y0i + iy
-            qx = x0i + ix
-            inb = (qy >= 0) & (qy < h) & (qx >= 0) & (qx < w)
-            wgt = wy[iy] * wx[ix]
-            # d(weight)/d(rate) via chain rule: dp/dr = (dy, dx).
-            dw = (dwy[iy] * wx[ix]) * dy + (wy[iy] * dwy[ix]) * dx
-            weight[t, k] = np.where(inb, wgt, 0.0)
-            dwdr[t, k] = np.where(inb, dw, 0.0)
-            idx[t, k] = np.clip(qy, 0, h - 1) * w + np.clip(qx, 0, w - 1)
-
-    return SamplingPlan(h, w, r, idx, weight, dwdr)
+    # Corner k = 2 * iy + ix, written straight into CSR row order
+    # (tap, pixel, corner).
+    weight = np.empty((9, n, 4), dtype=dtype)
+    dwdr = np.empty((9, n, 4), dtype=dtype)
+    idx = np.empty((9, n, 4), dtype=index_dtype)
+    for k, ((wy, dwy, qy), (wx, dwx, qx)) in enumerate(
+            (ys, xs) for ys in axes[0] for xs in axes[1]):
+        np.multiply(wy, wx, out=weight[..., k])
+        np.add(dwy * wx, wy * dwx, out=dwdr[..., k])
+        np.add(qy * w, qx, out=idx[..., k])
+    indptr = np.arange(0, 36 * n + 1, 4, dtype=index_dtype)
+    shape = (9 * n, n)
+    idx = idx.reshape(-1)
+    S = sparse.csr_array((weight.reshape(-1), idx, indptr), shape=shape)
+    D = sparse.csr_array((dwdr.reshape(-1), idx, indptr), shape=shape)
+    return SamplingPlan(h, w, r, S, D)
 
 
-def _asc_gather(x3: np.ndarray, plan: SamplingPlan):
+def _sample(x3: np.ndarray, plan: SamplingPlan):
+    """Bilinear reads of every tap and channel: returns the (H*W, C)
+    transposed input and the C-contiguous (C, 9, H*W) tap columns."""
     c = x3.shape[0]
-    flat = x3.reshape(c, -1)
-    corners = flat[:, plan.idx]                       # (C, 9, 4, H*W)
-    sampled = (corners * plan.weight[None]).sum(axis=2)  # (C, 9, H*W)
-    return corners, sampled
+    n = plan.height * plan.width
+    xt = np.ascontiguousarray(x3.reshape(c, n).T)
+    taps = plan.S @ xt                                    # (9*N, C)
+    # Channel-major columns feed the same contraction as the integer convs,
+    # which keeps rate 1 bit-identical to classic. The transpose goes one
+    # tap block at a time, which stays in cache: a whole-array transpose
+    # at C=32 is several times slower.
+    sampled = np.empty((c, 9, n), dtype=taps.dtype)
+    for t in range(9):
+        sampled[:, t] = taps[t * n:(t + 1) * n].T
+    return xt, sampled
 
 
 def asc_conv_forward(x, layer, rates, plan=None, return_cache=False):
@@ -284,7 +319,8 @@ def asc_conv_forward(x, layer, rates, plan=None, return_cache=False):
 
     rates is a (1,1,H,W) non-negative field sampled at the output pixel and
     shared across all channels and taps. Pass a precomputed `plan` to share
-    geometry across layers consuming the same field.
+    geometry across layers consuming the same field. The cache is
+    (plan, transposed input, tap columns).
     """
     if layer.kind != ADAPTIVE:
         raise ValueError(f"expected an adaptive layer, got {layer.kind!r}")
@@ -294,14 +330,14 @@ def asc_conv_forward(x, layer, rates, plan=None, return_cache=False):
         plan = build_sampling_plan(rates, h, w)
     elif (plan.height, plan.width) != (h, w):
         raise ValueError("sampling plan dims do not match input")
-    corners, sampled = _asc_gather(x3, plan)
+    xt, sampled = _sample(x3, plan)
     c = layer.in_channels
     o = layer.out_channels
     wmat = layer.weights.reshape(o, c * 9)
     y = wmat @ sampled.reshape(c * 9, h * w) + layer.bias[:, None].astype(x3.dtype)
     y = y.reshape(1, o, h, w)
     if return_cache:
-        return y, (plan, corners, sampled)
+        return y, (plan, xt, sampled)
     return y
 
 
@@ -320,33 +356,25 @@ def asc_conv_backward(x, layer, rates, grad_y, cache=None):
         )
     if cache is None:
         plan = build_sampling_plan(rates, h, w)
-        corners, sampled = _asc_gather(x3, plan)
+        xt, sampled = _sample(x3, plan)
     else:
-        plan, corners, sampled = cache
+        plan, xt, sampled = cache
 
     n = h * w
     g = grad_y.reshape(o, n)
-    wmat = layer.weights.reshape(o, c * 9)
-
     grad_w = (g @ sampled.reshape(c * 9, n).T).reshape(layer.weights.shape)
     grad_b = g.sum(axis=1)
-    grad_sampled = (wmat.T @ g).reshape(c, 9, n)
+    # Tap gradients in S's row order, (9*N, C): g^T @ W_t for each tap t.
+    wtaps = layer.weights.reshape(o, c, 9).transpose(2, 0, 1)
+    grad_taps = np.matmul(g.T, wtaps).reshape(9 * n, c)
 
-    # Scatter tap gradients back through the bilinear weights. bincount
-    # keeps a fixed summation order, so backward is deterministic.
-    corner_grad = grad_sampled[:, :, None, :] * plan.weight[None]
-    flat_idx = plan.idx.reshape(-1)
-    grad_x = np.empty((c, n), dtype=x3.dtype)
-    for ch in range(c):
-        grad_x[ch] = np.bincount(
-            flat_idx, weights=corner_grad[ch].reshape(-1), minlength=n
-        )
-    grad_x = grad_x.reshape(1, c, h, w).astype(x3.dtype, copy=False)
+    grad_x = plan.S.T @ grad_taps                         # (N, C)
+    grad_x = np.ascontiguousarray(grad_x.T, dtype=x3.dtype).reshape(1, c, h, w)
 
-    # d(output)/d(rate) at each pixel: tent-weight derivatives against the
-    # gathered corner values, contracted with the upstream tap gradients.
-    dsample_drate = (corners * plan.dweight_drate[None]).sum(axis=2)  # (C,9,N)
-    grad_rates = (dsample_drate * grad_sampled).sum(axis=(0, 1))
+    # d(output)/d(rate) at each pixel: the tent-weight derivatives read the
+    # input like S does, contracted with the tap gradients.
+    dtaps = plan.D @ xt                                   # (9*N, C)
+    grad_rates = np.einsum("ij,ij->i", dtaps, grad_taps).reshape(9, n).sum(axis=0)
     grad_rates = grad_rates.reshape(1, 1, h, w)
 
     return grad_x, grad_w, grad_b, grad_rates

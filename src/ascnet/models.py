@@ -139,14 +139,15 @@ def build_reduced_asc_model(num_asc_layers, num_classes=2, height=8, width=8,
     return Model(spec, layers, ratenet)
 
 
-def _layer_forward(layer, x, plan):
+def _layer_forward(layer, x, plan, return_cache):
     if layer.kind == CLASSIC:
         return convops.conv_classic_forward(x, layer), None
     if layer.kind == DILATED:
         return convops.conv_dilated_forward(x, layer), None
-    y, cache = convops.asc_conv_forward(x, layer, None, plan=plan,
+    if return_cache:
+        return convops.asc_conv_forward(x, layer, None, plan=plan,
                                         return_cache=True)
-    return y, cache
+    return convops.asc_conv_forward(x, layer, None, plan=plan), None
 
 
 def rate_network_forward(image, net: RateNetwork, return_cache=False):
@@ -199,10 +200,11 @@ def model_forward(model: Model, image, return_cache=False):
     inputs, preacts, asc_caches = [], [], []
     last = len(model.layers) - 1
     for i, layer in enumerate(model.layers):
-        inputs.append(x)
-        z, asc_cache = _layer_forward(layer, x, plan)
-        preacts.append(z)
-        asc_caches.append(asc_cache)
+        z, asc_cache = _layer_forward(layer, x, plan, return_cache)
+        if return_cache:
+            inputs.append(x)
+            preacts.append(z)
+            asc_caches.append(asc_cache)
         x = z if i == last else tensor.relu(z)
     logits = x
 
@@ -244,12 +246,7 @@ def model_backward(model: Model, cache, grad_logits):
             gx, gw, gb = convops.conv_dilated_backward(x, layer, g)
         else:
             gx, gw, gb, gr = convops.asc_conv_backward(
-                x, layer, cache["rates"], g, cache=(
-                    cache["plan"],
-                    cache["asc_caches"][i][1],
-                    cache["asc_caches"][i][2],
-                ),
-            )
+                x, layer, cache["rates"], g, cache=cache["asc_caches"][i])
             if grad_rates_total is None:
                 grad_rates_total = gr
             else:
@@ -293,11 +290,26 @@ def load_checkpoint(path) -> Model:
     tensors = tensor.load_tensors(path)
     if "spec" not in tensors:
         raise ValueError(f"{path}: checkpoint missing 'spec' tensor")
-    vid, num_classes, h, w = (int(v) for v in tensors["spec"])
+    spec_values = tensors["spec"]
+    integral = np.isfinite(spec_values) & (spec_values == np.floor(spec_values))
+    if spec_values.shape != (4,) or not np.all(integral):
+        raise ValueError(f"{path}: malformed 'spec' tensor {spec_values!r}")
+    vid, num_classes, h, w = (int(v) for v in spec_values)
+    if vid not in range(len(VARIANTS)):
+        raise ValueError(
+            f"{path}: unknown variant id {vid} in 'spec' (expected 0-"
+            f"{len(VARIANTS) - 1})"
+        )
     variant = VARIANTS[vid]
-    in_channels = tensors["layer0.weight"].shape[1]
-    spec = ModelSpec(variant, num_classes, h, w, in_channels)
-    model = build_model(spec, rng=0, dtype=tensors["layer0.weight"].dtype)
+    first = tensors.get("layer0.weight")
+    if first is None or first.ndim != 4:
+        raise ValueError(f"{path}: checkpoint missing a 4-D 'layer0.weight'")
+    in_channels = first.shape[1]
+    try:
+        spec = ModelSpec(variant, num_classes, h, w, in_channels)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    model = build_model(spec, rng=0, dtype=first.dtype)
     for name, arr in param_dict(model).items():
         if name not in tensors:
             raise ValueError(f"{path}: checkpoint missing parameter {name}")

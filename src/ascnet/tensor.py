@@ -12,6 +12,7 @@ cached corpora (magic "ASCT", see `save_tensors` / `load_tensors`).
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -153,30 +154,53 @@ def save_tensors(path, tensors: dict) -> None:
 
 
 def load_tensors(path) -> dict:
-    """Read a container written by `save_tensors`; preserves tensor order."""
+    """Read a container written by `save_tensors`; preserves tensor order.
+
+    Every header field and payload is bounds-checked: a truncated or
+    malformed file raises ValueError naming the file and the byte offset.
+    """
     with open(path, "rb") as f:
         data = f.read()
     if data[:4] != MAGIC:
         raise ValueError(f"{path}: not a tensor container (bad magic)")
-    version, count = struct.unpack_from("<HI", data, 4)
+
+    def fail(off, what):
+        raise ValueError(f"{path}: {what} at offset {off} "
+                         f"(file is {len(data)} bytes)")
+
+    def unpack(fmt, off, what):
+        if off + struct.calcsize(fmt) > len(data):
+            fail(off, f"truncated {what}")
+        return struct.unpack_from(fmt, data, off)
+
+    version, count = unpack("<HI", 4, "header")
     if version != CONTAINER_VERSION:
         raise ValueError(f"{path}: unsupported container version {version}")
     off = 10
     out = {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", data, off)
+        (nlen,) = unpack("<H", off, "name length")
         off += 2
-        name = data[off:off + nlen].decode("utf-8")
+        (raw_name,) = unpack(f"<{nlen}s", off, "tensor name")
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError:
+            fail(off, "tensor name is not UTF-8")
         off += nlen
-        code, ndim = struct.unpack_from("<BB", data, off)
-        off += 2
+        code, ndim = unpack("<BB", off, f"header of '{name}'")
         if code not in _CODE_DTYPE:
-            raise ValueError(f"{path}: unknown dtype code {code}")
-        dims = struct.unpack_from(f"<{ndim}I", data, off)
+            fail(off, f"unknown dtype code {code} for '{name}'")
+        off += 2
+        dims = unpack(f"<{ndim}I", off, f"dims of '{name}'")
         off += 4 * ndim
         dtype = _CODE_DTYPE[code]
-        n = int(np.prod(dims)) if ndim else 1
-        arr = np.frombuffer(data, dtype=dtype, count=n, offset=off).reshape(dims)
-        off += n * dtype.itemsize
+        size = math.prod(dims)
+        nbytes = size * dtype.itemsize
+        if off + nbytes > len(data):
+            fail(off, f"truncated payload of '{name}' ({nbytes} bytes)")
+        arr = np.frombuffer(data, dtype=dtype, count=size, offset=off).reshape(dims)
+        off += nbytes
         out[name] = arr.astype(dtype.newbyteorder("="))
+    if off != len(data):
+        fail(off, f"{len(data) - off} trailing bytes")
     return out

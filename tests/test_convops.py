@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -365,3 +371,103 @@ class TestAscBackward:
         without = asc_conv_backward(x, a, rates, g)
         for u, v in zip(with_cache, without):
             assert np.array_equal(u, v)
+
+
+class TestSamplingOperator:
+    """The sparse sampler S (forward), its transpose (input gradient) and
+    D (rate gradient), in float64 unless stated otherwise."""
+
+    @staticmethod
+    def _setup(seed, shape=(1, 3, 7, 9), out_c=2):
+        rng = RNG(seed)
+        x = rng.standard_normal(shape)
+        a = make_layer(rng, out_c, shape[1], convops.ADAPTIVE)
+        a = ConvLayer(a.weights, np.zeros(out_c), convops.ADAPTIVE)
+        rates = rng.uniform(0.0, 4.0, (1, 1) + shape[2:])
+        rates[0, 0, 0, :3] = (0.0, 1.0, 20.0)  # zero, integer, off-image
+        return rng, x, a, rates
+
+    def test_adjoint_identity(self):
+        rng, x, a, rates = self._setup(20)
+        y = asc_conv_forward(x, a, rates)
+        g = rng.standard_normal(y.shape)
+        gx, gw, _, _ = asc_conv_backward(x, a, rates, g)
+        lhs = float(np.vdot(y, g))
+        scale = float(np.abs(y * g).sum())
+        # <A x, g> = <x, A^T g>, and the output is linear in the weights too.
+        assert abs(lhs - float(np.vdot(x, gx))) <= 1e-12 * scale
+        assert abs(lhs - float(np.vdot(a.weights, gw))) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("field", ["zero", "integer", "offimage"])
+    def test_oracle_at_degenerate_rates(self, field):
+        rng = RNG(21)
+        x = rng.standard_normal((1, 2, 5, 5))
+        a = make_layer(rng, 2, 2, convops.ADAPTIVE)
+        if field == "zero":
+            rates = np.zeros((1, 1, 5, 5))
+        elif field == "integer":
+            rates = rng.integers(0, 4, (1, 1, 5, 5)).astype(np.float64)
+        else:
+            rates = np.full((1, 1, 5, 5), 7.0)  # every non-centre tap off-image
+        y = asc_conv_forward(x, a, rates)
+        assert np.allclose(y, oracle_asc_forward(x, a, rates), atol=1e-12)
+        if field == "offimage":
+            centre = np.einsum("oc,chw->ohw", a.weights[:, :, 1, 1], x[0])
+            assert np.allclose(y[0], centre + a.bias[:, None, None], atol=1e-12)
+            g = rng.standard_normal(y.shape)
+            gx, _, _, gr = asc_conv_backward(x, a, rates, g)
+            assert np.array_equal(gr, np.zeros_like(gr))
+            assert np.allclose(gx[0], np.einsum("oc,ohw->chw",
+                                                a.weights[:, :, 1, 1], g[0]),
+                               atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_backward_is_byte_deterministic(self, dtype):
+        rng, x, a, rates = self._setup(22, shape=(1, 8, 16, 16), out_c=8)
+        x, rates = x.astype(dtype), rates.astype(dtype)
+        a = ConvLayer(a.weights.astype(dtype), a.bias.astype(dtype),
+                      convops.ADAPTIVE)
+        g = rng.standard_normal((1, 8, 16, 16)).astype(dtype)
+        first = asc_conv_backward(x, a, rates, g)
+        second = asc_conv_backward(x.copy(), a, rates.copy(), g.copy())
+        assert first[0].tobytes() == second[0].tobytes()
+        assert first[3].tobytes() == second[3].tobytes()
+
+    def test_plan_views_alias_the_operators(self):
+        _, _, _, rates = self._setup(23)
+        plan = convops.build_sampling_plan(rates, 7, 9)
+        n = 7 * 9
+        assert plan.S.shape == plan.D.shape == (9 * n, n)
+        for arr in (plan.idx, plan.weight, plan.dweight_drate):
+            assert arr.shape == (9, 4, n)
+        plan.weight[:, 3] = 0.0
+        assert np.count_nonzero(plan.S.data.reshape(9, n, 4)[..., 3]) == 0
+
+
+def test_integer_models_never_import_scipy(tmp_path):
+    """scipy is imported where the sampling plan is built, so a classic or
+    dilated model never pays for its import."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"num_train": 2, "num_test": 1, "height": 32,
+                               "width": 32, "large_radius": [6.0, 7.0],
+                               "small_per_image": [1, 2]}))
+    corpus, ckpt = tmp_path / "corpus", tmp_path / "d.asct"
+    script = f"""
+import sys
+from ascnet.cli import main
+assert main(["synth", "--out", {str(corpus)!r}, "--config", {str(cfg)!r}]) == 0
+assert main(["train", "--model", "dilated7", "--data", {str(corpus)!r},
+             "--iters", "2", "--out", {str(ckpt)!r}]) == 0
+print("scipy" in sys.modules)
+import numpy as np
+from ascnet import convops
+convops.build_sampling_plan(np.ones((1, 1, 4, 4)), 4, 4)
+print("scipy" in sys.modules)
+"""
+    src = str(Path(convops.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split()[-2:] == ["False", "True"]

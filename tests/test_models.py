@@ -195,3 +195,32 @@ class TestCheckpoint:
         assert "spec" in names
         assert "layer0.weight" in names and "layer6.bias" in names
         assert "ratenet.layer2.weight" in names
+
+    @pytest.mark.parametrize("vid", [9, -1, 4])
+    def test_out_of_range_variant_id_exits_2(self, tmp_path, capsys, vid):
+        from ascnet.cli import main
+
+        m = build_model(ModelSpec("classic7", height=16, width=16), 0)
+        tensors = {"spec": np.array([vid, 2, 16, 16], dtype=np.float32)}
+        tensors.update(models.param_dict(m))
+        path = tmp_path / "ckpt.asct"
+        tensor.save_tensors(path, tensors)
+        with pytest.raises(ValueError, match=f"unknown variant id {vid}"):
+            load_checkpoint(path)
+        assert main(["eval", "--ckpt", str(path), "--data", str(tmp_path)]) == 2
+        assert f"ckpt.asct: unknown variant id {vid}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec,message", [
+        ([0, 2, 16], "malformed 'spec'"),
+        ([0.5, 2, 16, 16], "malformed 'spec'"),
+        ([np.nan, 2, 16, 16], "malformed 'spec'"),
+        ([0, 1, 16, 16], "num_classes must be >= 2"),
+    ])
+    def test_malformed_spec_rejected(self, tmp_path, spec, message):
+        m = build_model(ModelSpec("classic7", height=16, width=16), 0)
+        tensors = {"spec": np.array(spec, dtype=np.float32)}
+        tensors.update(models.param_dict(m))
+        path = tmp_path / "ckpt.asct"
+        tensor.save_tensors(path, tensors)
+        with pytest.raises(ValueError, match=f"ckpt.asct: {message}"):
+            load_checkpoint(path)

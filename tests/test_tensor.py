@@ -177,3 +177,40 @@ class TestContainer:
     def test_unsupported_dtype_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="dtype"):
             tensor.save_tensors(tmp_path / "t.asct", {"x": np.zeros(2, dtype=np.int32)})
+
+    def test_truncation_at_every_offset_names_file_and_offset(self, tmp_path):
+        good = tmp_path / "good.asct"
+        tensor.save_tensors(good, {"w": np.arange(6, dtype=np.float32).reshape(2, 3),
+                                   "b": np.ones(2)})
+        blob = good.read_bytes()
+        bad = tmp_path / "bad.asct"
+        for cut in range(4, len(blob)):
+            bad.write_bytes(blob[:cut])
+            with pytest.raises(ValueError, match=r"bad\.asct: .* at offset \d+"):
+                tensor.load_tensors(bad)
+        bad.write_bytes(blob + b"\x00")
+        with pytest.raises(ValueError, match=f"trailing bytes at offset {len(blob)}"):
+            tensor.load_tensors(bad)
+
+    def test_bad_name_and_dtype_code_rejected(self, tmp_path):
+        path = tmp_path / "t.asct"
+        tensor.save_tensors(path, {"x": np.zeros(2, dtype=np.float32)})
+        blob = bytearray(path.read_bytes())
+        blob[12] = 0xFF                      # the one-byte name "x"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="not UTF-8 at offset 12"):
+            tensor.load_tensors(path)
+        blob[12], blob[13] = ord("x"), 7     # dtype code
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="dtype code 7 .* at offset 13"):
+            tensor.load_tensors(path)
+
+    def test_cli_short_file_exits_2_with_message(self, tmp_path, capsys):
+        from ascnet.cli import main
+
+        path = tmp_path / "short.asct"
+        path.write_bytes(b"ASCT\x01\x00")
+        assert main(["eval", "--ckpt", str(path), "--data", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "short.asct: truncated header at offset 4" in err
+        assert "Traceback" not in err
