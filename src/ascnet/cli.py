@@ -224,6 +224,17 @@ def _cmd_ratefield(args):
 
     img_path = Path(args.image)
     raw = data.read_pgm(img_path)
+    # Labels and metadata are read before anything is written, so a bad
+    # corpus file leaves no partial export behind.
+    labels = None
+    lbl_path = img_path.with_name(img_path.name.replace("img_", "lbl_"))
+    meta_path = img_path.parent / "meta.csv"
+    if lbl_path.exists() and lbl_path != img_path:
+        labels = data.read_pgm(lbl_path).astype(np.int64)
+        meta = []
+        if meta_path.exists():
+            meta = data.read_meta(meta_path).get(data.image_index(img_path), [])
+
     maxval = 65535 if raw.dtype.itemsize == 2 else 255
     h, w = raw.shape
     image = data.preprocess(raw.astype(np.float32) / maxval).reshape(1, 1, h, w)
@@ -231,21 +242,7 @@ def _cmd_ratefield(args):
     data.export_rate_field(rates, args.out_prefix)
 
     stats_lines = [f"mean={rates.mean()!r}"]
-    lbl_path = img_path.with_name(img_path.name.replace("img_", "lbl_"))
-    meta_path = img_path.parent / "meta.csv"
-    if lbl_path.exists() and lbl_path != img_path:
-        labels = data.read_pgm(lbl_path).astype(np.int64)
-        meta = []
-        if meta_path.exists():
-            import csv as _csv
-            import re as _re
-
-            idx = int(_re.search(r"img_(\d+)\.pgm", img_path.name).group(1))
-            with open(meta_path, newline="") as f:
-                for row in _csv.DictReader(f):
-                    if int(row["index"]) == idx:
-                        meta.append((float(row["cy"]), float(row["cx"]),
-                                     float(row["radius"])))
+    if labels is not None:
         stats = data.rate_stats(rates, labels, meta)
         stats_lines += [f"{k}={v!r}" for k, v in stats.items()]
     with open(str(args.out_prefix) + ".stats.txt", "w") as f:

@@ -200,9 +200,10 @@ class SamplingPlan:
     output pixel p: four non-zeros, the tent weights of the sample point's
     bilinear corners (zero for corners off the image, whose column index
     is clipped in-bounds). `D` holds the weights' derivatives with respect
-    to the pixel's rate on the same sparsity pattern. Sampling every
-    channel is then one product `S @ X.T`. Shared by every adaptive layer
-    consuming the same rate field.
+    to the pixel's rate on the same sparsity pattern. `taps` holds the
+    nine (H*W, H*W) row blocks of `S`, one per tap, as zero-copy CSR views
+    of its arrays; the forward samples every channel one tap block at a
+    time. Shared by every adaptive layer consuming the same rate field.
     """
 
     height: int
@@ -210,6 +211,7 @@ class SamplingPlan:
     rates: np.ndarray                  # (H*W,)
     S: object = field(repr=False)      # scipy CSR, (9*H*W, H*W)
     D: object = field(repr=False)      # scipy CSR, same pattern as S
+    taps: tuple = field(repr=False)    # 9 scipy CSR, (H*W, H*W), views of S
 
     def _corner_view(self, a):
         return a.reshape(9, -1, 4).transpose(0, 2, 1)
@@ -294,7 +296,18 @@ def build_sampling_plan(rates: np.ndarray, h: int, w: int) -> SamplingPlan:
     idx = idx.reshape(-1)
     S = sparse.csr_array((weight.reshape(-1), idx, indptr), shape=shape)
     D = sparse.csr_array((dwdr.reshape(-1), idx, indptr), shape=shape)
-    return SamplingPlan(h, w, r, S, D)
+    # Every row holds exactly 4 entries, so tap t's row block is a slice of
+    # S's arrays with the first N+1 row pointers. The slices are attached
+    # after construction, because scipy's constructor copies an array that
+    # is much smaller than the one it views.
+    taps = []
+    for t in range(9):
+        rows = slice(t * 4 * n, (t + 1) * 4 * n)
+        block = sparse.csr_array((n, n), dtype=dtype)
+        block.data, block.indices, block.indptr = (
+            S.data[rows], S.indices[rows], S.indptr[:n + 1])
+        taps.append(block)
+    return SamplingPlan(h, w, r, S, D, tuple(taps))
 
 
 def _sample(x3: np.ndarray, plan: SamplingPlan):
@@ -303,14 +316,15 @@ def _sample(x3: np.ndarray, plan: SamplingPlan):
     c = x3.shape[0]
     n = plan.height * plan.width
     xt = np.ascontiguousarray(x3.reshape(c, n).T)
-    taps = plan.S @ xt                                    # (9*N, C)
     # Channel-major columns feed the same contraction as the integer convs,
-    # which keeps rate 1 bit-identical to classic. The transpose goes one
-    # tap block at a time, which stays in cache: a whole-array transpose
-    # at C=32 is several times slower.
-    sampled = np.empty((c, 9, n), dtype=taps.dtype)
-    for t in range(9):
-        sampled[:, t] = taps[t * n:(t + 1) * n].T
+    # which keeps rate 1 bit-identical to classic. Each tap block's (N, C)
+    # product is transposed into place while it is still in cache. A
+    # whole-image (9*N, C) product would be a zero-filled 4.7 MB temporary
+    # at C=32 that the allocator returns to the OS after every layer, so
+    # the next layer page-faults it in again.
+    sampled = np.empty((c, 9, n), dtype=np.result_type(plan.S.dtype, xt.dtype))
+    for t, s_t in enumerate(plan.taps):
+        sampled[:, t] = (s_t @ xt).T
     return xt, sampled
 
 

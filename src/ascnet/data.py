@@ -117,7 +117,8 @@ def generate_synth(cfg: SynthConfig):
     return train, test
 
 
-def _binary_counts(pred_mask, true_mask):
+def overlap_counts(pred_mask, true_mask):
+    """(|P&T|, |P|, |T|) of two same-shaped boolean masks."""
     p = np.asarray(pred_mask, dtype=bool)
     t = np.asarray(true_mask, dtype=bool)
     if p.shape != t.shape:
@@ -125,28 +126,29 @@ def _binary_counts(pred_mask, true_mask):
     return int((p & t).sum()), int(p.sum()), int(t.sum())
 
 
-def dice(pred_mask, true_mask) -> float:
-    """2|P&T| / (|P|+|T|); 1.0 when both masks are empty."""
-    inter, np_, nt = _binary_counts(pred_mask, true_mask)
+def overlap_metrics(inter, np_, nt) -> dict:
+    """Dice 2|P&T|/(|P|+|T|), precision |P&T|/|P| and recall |P&T|/|T| from
+    the counts. Each is 1.0 when both masks are empty; precision (recall)
+    is 0.0 when only P (T) is empty."""
     if np_ + nt == 0:
-        return 1.0
-    return 2.0 * inter / (np_ + nt)
+        return {"dice": 1.0, "precision": 1.0, "recall": 1.0}
+    return {
+        "dice": 2.0 * inter / (np_ + nt),
+        "precision": inter / np_ if np_ else 0.0,
+        "recall": inter / nt if nt else 0.0,
+    }
+
+
+def dice(pred_mask, true_mask) -> float:
+    return overlap_metrics(*overlap_counts(pred_mask, true_mask))["dice"]
 
 
 def precision(pred_mask, true_mask) -> float:
-    """|P&T| / |P|; 1.0 if both empty, 0.0 if only P is empty."""
-    inter, np_, nt = _binary_counts(pred_mask, true_mask)
-    if np_ == 0:
-        return 1.0 if nt == 0 else 0.0
-    return inter / np_
+    return overlap_metrics(*overlap_counts(pred_mask, true_mask))["precision"]
 
 
 def recall(pred_mask, true_mask) -> float:
-    """|P&T| / |T|; 1.0 if both empty, 0.0 if only T is empty."""
-    inter, np_, nt = _binary_counts(pred_mask, true_mask)
-    if nt == 0:
-        return 1.0 if np_ == 0 else 0.0
-    return inter / nt
+    return overlap_metrics(*overlap_counts(pred_mask, true_mask))["recall"]
 
 
 # --- PGM (binary P5, 8- or 16-bit big-endian) ---------------------------
@@ -171,27 +173,42 @@ def write_pgm(path, values: np.ndarray, maxval: int = 65535) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM (P5) into a 2-D uint array (uint8 or uint16)."""
+    """Read a binary PGM (P5) into a 2-D uint array (uint8 or uint16).
+    Errors name the file."""
     with open(path, "rb") as f:
         data = f.read()
     if not data.startswith(b"P5"):
         raise ValueError(f"{path}: not a binary PGM (P5) file")
     # Header tokens (magic, width, height, maxval) separated by whitespace,
-    # with '#' comments running to end of line.
+    # with '#' comments running to end of line; one whitespace byte ends
+    # the header.
     tokens = []
     pos = 2
     while len(tokens) < 3:
-        while pos < len(data) and data[pos:pos + 1].isspace():
+        while data[pos:pos + 1].isspace():
             pos += 1
         if data[pos:pos + 1] == b"#":
-            pos = data.index(b"\n", pos) + 1
+            pos = data.find(b"\n", pos) + 1
+            if pos == 0:
+                break
             continue
         start = pos
         while pos < len(data) and not data[pos:pos + 1].isspace():
             pos += 1
+        if pos == len(data):
+            break
         tokens.append(data[start:pos])
-    pos += 1  # single whitespace after maxval
+    if len(tokens) < 3:
+        raise ValueError(f"{path}: truncated PGM header")
+    if not all(t.isdigit() for t in tokens):
+        raise ValueError(f"{path}: PGM header fields must be decimal "
+                         f"integers, got {b' '.join(tokens)!r}")
     w, h, maxval = (int(t) for t in tokens)
+    if w < 1 or h < 1:
+        raise ValueError(f"{path}: PGM dims {w}x{h} must be at least 1x1")
+    if not 1 <= maxval <= 65535:
+        raise ValueError(f"{path}: PGM maxval {maxval} is outside [1, 65535]")
+    pos += 1
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     n = h * w
     payload = data[pos:pos + n * dtype.itemsize]
@@ -287,6 +304,35 @@ def write_samples(samples, directory) -> None:
                 writer.writerow([i, _fmt(cy), _fmt(cx), _fmt(radius)])
 
 
+def image_index(path) -> int:
+    """The sample index in a corpus image name, img_<digits>.pgm."""
+    from pathlib import Path
+
+    m = re.fullmatch(r"img_([0-9]+)\.pgm", Path(path).name)
+    if m is None:
+        raise ValueError(f"{path}: corpus image names must be img_<digits>.pgm")
+    return int(m.group(1))
+
+
+def read_meta(path) -> dict:
+    """Parse a corpus meta.csv into {index: [(cy, cx, radius), ...]}.
+    Errors name the file and the line."""
+    meta = {}
+    with open(path, newline="") as f:
+        reader = csv.DictReader(f)
+        missing = {"index", "cy", "cx", "radius"} - set(reader.fieldnames or ())
+        if missing:
+            raise ValueError(f"{path}:1: missing column(s) "
+                             f"{', '.join(sorted(missing))}")
+        for row in reader:
+            try:
+                meta.setdefault(int(row["index"]), []).append(
+                    (float(row["cy"]), float(row["cx"]), float(row["radius"])))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    return meta
+
+
 def load_image_dir(path) -> list:
     """Load img_*.pgm / lbl_*.pgm pairs (plus meta.csv when present) as
     preprocessed samples. Errors name the offending file."""
@@ -296,21 +342,13 @@ def load_image_dir(path) -> list:
     imgs = sorted(path.glob("img_*.pgm"))
     if not imgs:
         raise ValueError(f"{path}: no img_*.pgm files found")
-
-    meta_by_index = {}
     meta_path = path / "meta.csv"
-    if meta_path.exists():
-        with open(meta_path, newline="") as f:
-            for row in csv.DictReader(f):
-                meta_by_index.setdefault(int(row["index"]), []).append(
-                    (float(row["cy"]), float(row["cx"]), float(row["radius"]))
-                )
+    meta_by_index = read_meta(meta_path) if meta_path.exists() else {}
 
     samples = []
     for img_path in imgs:
-        m = re.match(r"img_(\d+)\.pgm$", img_path.name)
-        idx = int(m.group(1))
-        lbl_path = img_path.with_name(f"lbl_{m.group(1)}.pgm")
+        idx = image_index(img_path)
+        lbl_path = img_path.with_name("lbl_" + img_path.name[len("img_"):])
         if not lbl_path.exists():
             raise ValueError(f"{img_path}: missing label file {lbl_path.name}")
         img = read_pgm(img_path)

@@ -109,37 +109,22 @@ def evaluate(model, samples, pooled: bool = False) -> EvalResult:
     if not samples:
         raise ValueError("empty evaluation set")
     num_classes = model.spec.num_classes
-    metric_fns = {"dice": data.dice, "precision": data.precision,
-                  "recall": data.recall}
-
-    per_image = {c: {k: [] for k in metric_fns} for c in range(num_classes)}
-    pooled_counts = {c: np.zeros(3, dtype=np.int64) for c in range(num_classes)}
-
+    counts = {c: [] for c in range(num_classes)}   # per image (|P&T|, |P|, |T|)
     for s in samples:
         logits, _ = models.model_forward(model, s.image)
         pred = logits[0].argmax(axis=0)
         lab = s.labels.reshape(pred.shape)
         for c in range(num_classes):
-            pm = pred == c
-            tm = lab == c
-            if pooled:
-                pooled_counts[c] += (int((pm & tm).sum()), int(pm.sum()),
-                                     int(tm.sum()))
-            else:
-                for k, fn in metric_fns.items():
-                    per_image[c][k].append(fn(pm, tm))
+            counts[c].append(data.overlap_counts(pred == c, lab == c))
 
     per_class = {}
-    for c in range(num_classes):
+    for c, rows in counts.items():
         if pooled:
-            inter, np_, nt = (int(v) for v in pooled_counts[c])
-            per_class[c] = {
-                "dice": 1.0 if np_ + nt == 0 else 2.0 * inter / (np_ + nt),
-                "precision": 1.0 if np_ == nt == 0 else (0.0 if np_ == 0 else inter / np_),
-                "recall": 1.0 if np_ == nt == 0 else (0.0 if nt == 0 else inter / nt),
-            }
+            per_class[c] = data.overlap_metrics(*(sum(col) for col in zip(*rows)))
         else:
-            per_class[c] = {k: float(np.mean(v)) for k, v in per_image[c].items()}
+            per_image = [data.overlap_metrics(*r) for r in rows]
+            per_class[c] = {k: float(np.mean([m[k] for m in per_image]))
+                            for k in per_image[0]}
 
     fg = range(1, num_classes)
     return EvalResult(

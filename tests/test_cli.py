@@ -130,6 +130,69 @@ class TestTrainEval:
                      "--iters", "0", "--out", "y"]) == 1
 
 
+class TestCorpusErrors:
+    """Malformed corpus files exit 2 with a message that names the file."""
+
+    @pytest.fixture
+    def corpus_copy(self, corpus_dir, tmp_path):
+        import shutil
+
+        return shutil.copytree(corpus_dir, tmp_path / "corpus")
+
+    @staticmethod
+    def _fresh_ckpt(tmp_path):
+        ckpt = tmp_path / "fresh.asct"
+        save_checkpoint(build_model(ModelSpec("ascnet7", 2, 32, 32), 0), ckpt)
+        return ckpt
+
+    def _eval(self, tmp_path, corpus):
+        return main(["eval", "--ckpt", str(self._fresh_ckpt(tmp_path)),
+                     "--data", str(corpus)])
+
+    def _ratefield(self, tmp_path, img):
+        return main(["ratefield", "--ckpt", str(self._fresh_ckpt(tmp_path)),
+                     "--image", str(img), "--out-prefix", str(tmp_path / "rf")])
+
+    def test_badly_named_image(self, corpus_copy, tmp_path, capsys):
+        test_dir = corpus_copy / "test"
+        extra = test_dir / "img_extra.pgm"
+        extra.write_bytes((test_dir / "img_0000.pgm").read_bytes())
+        (test_dir / "lbl_extra.pgm").write_bytes(
+            (test_dir / "lbl_0000.pgm").read_bytes())
+        assert self._eval(tmp_path, corpus_copy) == 2
+        assert str(extra) in capsys.readouterr().err
+        assert self._ratefield(tmp_path, extra) == 2
+        assert str(extra) in capsys.readouterr().err
+        assert not (tmp_path / "rf.csv").exists()
+
+    def test_meta_without_index_column(self, corpus_copy, tmp_path, capsys):
+        for split in ("test", "train"):
+            meta = corpus_copy / split / "meta.csv"
+            lines = meta.read_text().splitlines()
+            meta.write_text("\n".join(
+                ",".join(line.split(",")[1:]) for line in lines) + "\n")
+        meta = corpus_copy / "test" / "meta.csv"
+        assert self._eval(tmp_path, corpus_copy) == 2
+        err = capsys.readouterr().err
+        assert f"{meta}:1" in err and "index" in err
+        img = corpus_copy / "train" / "img_0000.pgm"
+        assert self._ratefield(tmp_path, img) == 2
+        assert str(corpus_copy / "train" / "meta.csv") in capsys.readouterr().err
+
+    def test_non_numeric_meta_field(self, corpus_copy, tmp_path, capsys):
+        meta = corpus_copy / "test" / "meta.csv"
+        lines = meta.read_text().splitlines()
+        row = lines[2].split(",")
+        lines[2] = ",".join([row[0], "abc"] + row[2:])
+        meta.write_text("\n".join(lines) + "\n")
+        assert self._eval(tmp_path, corpus_copy) == 2
+        err = capsys.readouterr().err
+        assert f"{meta}:3" in err and "'abc'" in err
+        img = corpus_copy / "test" / "img_0000.pgm"
+        assert self._ratefield(tmp_path, img) == 2
+        assert f"{meta}:3" in capsys.readouterr().err
+
+
 class TestGradcheckCmd:
     @pytest.mark.parametrize("target", ["classic", "asc"])
     def test_pass_targets(self, target, capsys):

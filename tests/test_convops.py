@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -442,6 +443,69 @@ class TestSamplingOperator:
             assert arr.shape == (9, 4, n)
         plan.weight[:, 3] = 0.0
         assert np.count_nonzero(plan.S.data.reshape(9, n, 4)[..., 3]) == 0
+
+
+class TestTapBlocks:
+    """The forward samples one (N, N) tap block of S at a time."""
+
+    @staticmethod
+    def _setup(dtype, rate_dtype=None, c=32, size=64):
+        rng = RNG(30)
+        x = rng.standard_normal((1, c, size, size)).astype(dtype)
+        a = make_layer(rng, c, c, convops.ADAPTIVE)
+        a = ConvLayer(a.weights.astype(dtype), a.bias.astype(dtype),
+                      convops.ADAPTIVE)
+        rates = rng.uniform(0.0, 4.0, (1, 1, size, size))
+        return x, a, rates.astype(rate_dtype or dtype)
+
+    def test_forward_peak_memory_stays_near_the_tap_columns(self):
+        x, a, rates = self._setup(np.float32)
+        plan = convops.build_sampling_plan(rates, 64, 64)
+        asc_conv_forward(x, a, rates, plan=plan)
+        tracemalloc.start()
+        try:
+            _, (_, _, sampled) = asc_conv_forward(x, a, rates, plan=plan,
+                                                  return_cache=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A whole-image (9N, C) product next to the (C, 9, N) columns would
+        # take the peak past 2x.
+        assert peak < 1.5 * sampled.nbytes
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_whole_matrix_product_bit_for_bit(self, dtype):
+        x, a, rates = self._setup(dtype, c=8, size=24)
+        plan = convops.build_sampling_plan(rates, 24, 24)
+        n = 24 * 24
+        xt = np.ascontiguousarray(x[0].reshape(8, n).T)
+        ref_cols = np.ascontiguousarray(
+            (plan.S @ xt).reshape(9, n, 8).transpose(2, 0, 1))
+        ref = (a.weights.reshape(8, 72) @ ref_cols.reshape(72, n)
+               + a.bias[:, None]).reshape(1, 8, 24, 24)
+        y, (_, _, sampled) = asc_conv_forward(x, a, rates, plan=plan,
+                                              return_cache=True)
+        assert sampled.tobytes() == ref_cols.tobytes()
+        assert y.dtype == dtype and y.tobytes() == ref.tobytes()
+
+    def test_float32_input_with_float64_rates_gives_float64(self):
+        x, a, rates = self._setup(np.float32, np.float64, c=4, size=12)
+        y = asc_conv_forward(x, a, rates)
+        assert y.dtype == np.float64
+        ref = asc_conv_forward(x.astype(np.float64), a, rates)
+        assert np.allclose(y, ref, rtol=1e-6, atol=1e-6)
+
+    def test_tap_blocks_share_memory_with_s(self):
+        _, _, rates = self._setup(np.float64, c=1, size=7)
+        plan = convops.build_sampling_plan(rates, 7, 7)
+        n = 49
+        assert len(plan.taps) == 9
+        for t, block in enumerate(plan.taps):
+            assert block.shape == (n, n)
+            for name in ("data", "indices", "indptr"):
+                assert np.shares_memory(getattr(block, name), getattr(plan.S, name))
+            assert np.array_equal(block.toarray(),
+                                  plan.S[t * n:(t + 1) * n].toarray())
 
 
 def test_integer_models_never_import_scipy(tmp_path):

@@ -165,6 +165,37 @@ class TestPgm:
         with pytest.raises(ValueError, match="truncated"):
             read_pgm(path)
 
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    def test_truncation_at_every_offset_names_file(self, tmp_path, maxval):
+        full = tmp_path / "full.pgm"
+        write_pgm(full, np.arange(6).reshape(2, 3), maxval=maxval)
+        blob = full.read_bytes().replace(b"P5\n", b"P5\n# made by hand\n", 1)
+        path = tmp_path / "cut.pgm"
+        for k in range(len(blob)):
+            path.write_bytes(blob[:k])
+            with pytest.raises(ValueError) as exc:
+                read_pgm(path)
+            assert str(path) in str(exc.value), k
+        path.write_bytes(blob)
+        assert np.array_equal(read_pgm(path), np.arange(6).reshape(2, 3))
+
+    @pytest.mark.parametrize("header,message", [
+        (b"P5\n64", "truncated PGM header"),
+        (b"P5\n# no newline", "truncated PGM header"),
+        (b"P5\n2 1\n0\n\x00\x00", "maxval 0"),
+        (b"P5\n2 1\n65536\n" + bytes(4), "maxval 65536"),
+        (b"P5\n0 1\n255\n", "0x1"),
+        (b"P5\n2 x\n255\n\x00\x00", "decimal integers"),
+        (b"P5\n-2 1\n255\n\x00\x00", "decimal integers"),
+    ], ids=["no-height", "comment-without-newline", "maxval-0", "maxval-65536",
+            "zero-width", "letter", "negative"])
+    def test_bad_header_rejected(self, tmp_path, header, message):
+        path = tmp_path / "x.pgm"
+        path.write_bytes(header)
+        with pytest.raises(ValueError, match=message) as exc:
+            read_pgm(path)
+        assert str(path) in str(exc.value)
+
 
 class TestRateFieldExport:
     def test_constant_field(self, tmp_path):
