@@ -10,10 +10,12 @@ from .convops import (
     asc_conv_forward,
     bilinear_kernel,
     build_sampling_plan,
+    conv_backward,
     conv_classic_backward,
     conv_classic_forward,
     conv_dilated_backward,
     conv_dilated_forward,
+    conv_forward,
     oracle_asc_forward,
     sample_bilinear,
 )

@@ -43,8 +43,7 @@ def _build_parser():
     p.add_argument("--seed", type=int)
 
     p = sub.add_parser("train", help="train a model")
-    p.add_argument("--model", required=True,
-                   choices=["classic7", "dilated7", "ascnet7", "ascnet14"])
+    p.add_argument("--model", required=True, choices=models.VARIANTS)
     p.add_argument("--data", required=True)
     p.add_argument("--iters", type=_positive_int, default=2000)
     p.add_argument("--lr", type=float, default=1e-3)
@@ -65,7 +64,7 @@ def _build_parser():
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient checks")
     p.add_argument("--target", required=True,
-                   choices=["classic", "dilated", "asc", "ratenet", "model"])
+                   choices=list(training.GRADCHECK_TOLERANCES))
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("bench", help="train and compare the three 7-layer models")

@@ -5,9 +5,12 @@ All operators use stride 1 and zero padding sized to preserve spatial
 dimensions. Forward and backward passes are hand-written; the adaptive
 operator additionally produces the gradient with respect to the rate field.
 
-Classic/dilated forwards are computed through the same column-gather +
-matmul contraction as the adaptive operator, so a constant integer rate
-field reproduces them bit for bit.
+Every kind gathers (C, 9, H*W) tap columns and shares one input check,
+one contraction W·cols + b and one weight/bias adjoint; only the gather
+and its adjoint differ. Classic is dilated at rate 1, and a constant
+integer rate field makes the adaptive operator reproduce both bit for
+bit. `conv_forward`/`conv_backward` choose the operator for a layer's
+kind, so callers never branch on it.
 """
 
 from __future__ import annotations
@@ -90,7 +93,12 @@ def sample_bilinear(x: np.ndarray, p, c: int) -> float:
     return acc
 
 
-def _check_input(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
+def _check_input(x: np.ndarray, layer: ConvLayer, kind: str,
+                 grad_y: np.ndarray | None = None) -> np.ndarray:
+    """Check the layer kind, the (1,C,H,W) input and, for a backward pass,
+    the shape of grad_y; returns the (C,H,W) input."""
+    if layer.kind != kind:
+        raise ValueError(f"expected a layer of kind {kind!r}, got {layer.kind!r}")
     if x.ndim != 4 or x.shape[0] != 1:
         raise ValueError(f"expected (1,C,H,W) input, got shape {x.shape}")
     if x.shape[1] != layer.in_channels:
@@ -98,7 +106,26 @@ def _check_input(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
             f"input has {x.shape[1]} channels, kernel expects "
             f"{layer.in_channels}"
         )
+    out_shape = (1, layer.out_channels) + x.shape[2:]
+    if grad_y is not None and grad_y.shape != out_shape:
+        raise ValueError(
+            f"grad_y shape {grad_y.shape} does not match output {out_shape}"
+        )
     return x[0]
+
+
+def _contract(cols: np.ndarray, layer: ConvLayer) -> np.ndarray:
+    """W·cols + b: (C, 9, N) tap columns -> (O, N) output."""
+    wmat = layer.weights.reshape(layer.out_channels, -1)
+    bias = layer.bias[:, None].astype(cols.dtype)
+    return wmat @ cols.reshape(wmat.shape[1], -1) + bias
+
+
+def _param_grads(cols: np.ndarray, layer: ConvLayer, g: np.ndarray):
+    """Adjoint of `_contract` for the parameters, given the (O, N) output
+    gradient g: returns (grad_w, grad_b)."""
+    grad_w = g @ cols.reshape(-1, g.shape[1]).T
+    return grad_w.reshape(layer.weights.shape), g.sum(axis=1)
 
 
 def _integer_cols(x3: np.ndarray, rate: int) -> np.ndarray:
@@ -119,25 +146,6 @@ def _integer_cols(x3: np.ndarray, rate: int) -> np.ndarray:
     return cols
 
 
-def _cols_forward(cols: np.ndarray, layer: ConvLayer, h: int, w: int):
-    c = layer.in_channels
-    o = layer.out_channels
-    wmat = layer.weights.reshape(o, c * 9)
-    y = wmat @ cols.reshape(c * 9, h * w) + layer.bias[:, None].astype(cols.dtype)
-    return y.reshape(1, o, h, w)
-
-
-def _cols_backward(cols, layer, grad_y, h, w):
-    c = layer.in_channels
-    o = layer.out_channels
-    g = grad_y.reshape(o, h * w)
-    wmat = layer.weights.reshape(o, c * 9)
-    grad_cols = (wmat.T @ g).reshape(c, 9, h * w)
-    grad_w = (g @ cols.reshape(c * 9, h * w).T).reshape(layer.weights.shape)
-    grad_b = g.sum(axis=1)
-    return grad_cols, grad_w, grad_b
-
-
 def _cols_to_image(grad_cols: np.ndarray, rate: int, h: int, w: int):
     """Adjoint of `_integer_cols`: scatter tap columns back onto the image."""
     c = grad_cols.shape[0]
@@ -150,46 +158,37 @@ def _cols_to_image(grad_cols: np.ndarray, rate: int, h: int, w: int):
     return gp[:, pad:pad + h, pad:pad + w].reshape(1, c, h, w)
 
 
-def conv_classic_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
-    if layer.kind != CLASSIC:
-        raise ValueError(f"expected a classic layer, got {layer.kind!r}")
-    x3 = _check_input(x, layer)
+# Integer taps are read by slicing a padded copy: a sampling operator
+# gives the same columns but costs several times as much per layer.
+def _int_forward(x, layer, kind, rate):
+    x3 = _check_input(x, layer, kind)
     h, w = x3.shape[1:]
-    return _cols_forward(_integer_cols(x3, 1), layer, h, w)
+    return _contract(_integer_cols(x3, rate), layer).reshape(1, -1, h, w)
+
+
+def _int_backward(x, layer, grad_y, kind, rate):
+    x3 = _check_input(x, layer, kind, grad_y)
+    c, h, w = x3.shape
+    g = grad_y.reshape(layer.out_channels, h * w)
+    grad_cols = layer.weights.reshape(layer.out_channels, c * 9).T @ g
+    grad_x = _cols_to_image(grad_cols.reshape(c, 9, h * w), rate, h, w)
+    return (grad_x, *_param_grads(_integer_cols(x3, rate), layer, g))
+
+
+def conv_classic_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
+    return _int_forward(x, layer, CLASSIC, 1)
 
 
 def conv_dilated_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
-    if layer.kind != DILATED:
-        raise ValueError(f"expected a dilated layer, got {layer.kind!r}")
-    x3 = _check_input(x, layer)
-    h, w = x3.shape[1:]
-    return _cols_forward(_integer_cols(x3, layer.rate), layer, h, w)
-
-
-def _conv_int_backward(x, layer, grad_y, rate):
-    x3 = _check_input(x, layer)
-    h, w = x3.shape[1:]
-    if grad_y.shape != (1, layer.out_channels, h, w):
-        raise ValueError(
-            f"grad_y shape {grad_y.shape} does not match output "
-            f"(1,{layer.out_channels},{h},{w})"
-        )
-    cols = _integer_cols(x3, rate)
-    grad_cols, grad_w, grad_b = _cols_backward(cols, layer, grad_y, h, w)
-    grad_x = _cols_to_image(grad_cols, rate, h, w)
-    return grad_x, grad_w, grad_b
+    return _int_forward(x, layer, DILATED, layer.rate)
 
 
 def conv_classic_backward(x, layer, grad_y):
-    if layer.kind != CLASSIC:
-        raise ValueError(f"expected a classic layer, got {layer.kind!r}")
-    return _conv_int_backward(x, layer, grad_y, 1)
+    return _int_backward(x, layer, grad_y, CLASSIC, 1)
 
 
 def conv_dilated_backward(x, layer, grad_y):
-    if layer.kind != DILATED:
-        raise ValueError(f"expected a dilated layer, got {layer.kind!r}")
-    return _conv_int_backward(x, layer, grad_y, layer.rate)
+    return _int_backward(x, layer, grad_y, DILATED, layer.rate)
 
 
 @dataclass
@@ -232,6 +231,10 @@ class SamplingPlan:
         return self._corner_view(self.D.data)
 
 
+class NonFiniteRates(ValueError):
+    """The rate field holds inf or NaN: the rate network has diverged."""
+
+
 def _check_rates(rates: np.ndarray, h: int, w: int) -> np.ndarray:
     if rates.shape != (1, 1, h, w):
         raise ValueError(
@@ -242,7 +245,7 @@ def _check_rates(rates: np.ndarray, h: int, w: int) -> np.ndarray:
     if np.any(r < 0):
         raise ValueError("rate field contains negative values")
     if not np.all(np.isfinite(r)):
-        raise ValueError("rate field contains non-finite values")
+        raise NonFiniteRates("rate field contains non-finite values")
     return r
 
 
@@ -336,20 +339,14 @@ def asc_conv_forward(x, layer, rates, plan=None, return_cache=False):
     geometry across layers consuming the same field. The cache is
     (plan, transposed input, tap columns).
     """
-    if layer.kind != ADAPTIVE:
-        raise ValueError(f"expected an adaptive layer, got {layer.kind!r}")
-    x3 = _check_input(x, layer)
+    x3 = _check_input(x, layer, ADAPTIVE)
     h, w = x3.shape[1:]
     if plan is None:
         plan = build_sampling_plan(rates, h, w)
     elif (plan.height, plan.width) != (h, w):
         raise ValueError("sampling plan dims do not match input")
     xt, sampled = _sample(x3, plan)
-    c = layer.in_channels
-    o = layer.out_channels
-    wmat = layer.weights.reshape(o, c * 9)
-    y = wmat @ sampled.reshape(c * 9, h * w) + layer.bias[:, None].astype(x3.dtype)
-    y = y.reshape(1, o, h, w)
+    y = _contract(sampled, layer).reshape(1, -1, h, w)
     if return_cache:
         return y, (plan, xt, sampled)
     return y
@@ -358,16 +355,8 @@ def asc_conv_forward(x, layer, rates, plan=None, return_cache=False):
 def asc_conv_backward(x, layer, rates, grad_y, cache=None):
     """Gradients of the adaptive convolution for input, weights, bias and
     the rate field. Returns (grad_x, grad_w, grad_bias, grad_rates)."""
-    if layer.kind != ADAPTIVE:
-        raise ValueError(f"expected an adaptive layer, got {layer.kind!r}")
-    x3 = _check_input(x, layer)
-    h, w = x3.shape[1:]
-    c = layer.in_channels
-    o = layer.out_channels
-    if grad_y.shape != (1, o, h, w):
-        raise ValueError(
-            f"grad_y shape {grad_y.shape} does not match output (1,{o},{h},{w})"
-        )
+    x3 = _check_input(x, layer, ADAPTIVE, grad_y)
+    c, h, w = x3.shape
     if cache is None:
         plan = build_sampling_plan(rates, h, w)
         xt, sampled = _sample(x3, plan)
@@ -375,11 +364,10 @@ def asc_conv_backward(x, layer, rates, grad_y, cache=None):
         plan, xt, sampled = cache
 
     n = h * w
-    g = grad_y.reshape(o, n)
-    grad_w = (g @ sampled.reshape(c * 9, n).T).reshape(layer.weights.shape)
-    grad_b = g.sum(axis=1)
+    g = grad_y.reshape(layer.out_channels, n)
+    grad_w, grad_b = _param_grads(sampled, layer, g)
     # Tap gradients in S's row order, (9*N, C): g^T @ W_t for each tap t.
-    wtaps = layer.weights.reshape(o, c, 9).transpose(2, 0, 1)
+    wtaps = layer.weights.reshape(layer.out_channels, c, 9).transpose(2, 0, 1)
     grad_taps = np.matmul(g.T, wtaps).reshape(9 * n, c)
 
     grad_x = plan.S.T @ grad_taps                         # (N, C)
@@ -394,12 +382,41 @@ def asc_conv_backward(x, layer, rates, grad_y, cache=None):
     return grad_x, grad_w, grad_b, grad_rates
 
 
+def conv_forward(x, layer, plan=None, return_cache=False):
+    """Forward of a layer of any kind; returns (y, cache).
+
+    An adaptive layer reads the rate field through `plan`, which is then
+    required; with return_cache its (plan, transposed input, tap columns)
+    cache is returned for `conv_backward`. Otherwise the cache is None.
+    """
+    if layer.kind == ADAPTIVE:
+        if plan is None:
+            raise ValueError("an adaptive layer needs a sampling plan")
+        if return_cache:
+            return asc_conv_forward(x, layer, None, plan=plan, return_cache=True)
+        return asc_conv_forward(x, layer, None, plan=plan), None
+    if layer.kind == DILATED:
+        return conv_dilated_forward(x, layer), None
+    return conv_classic_forward(x, layer), None
+
+
+def conv_backward(x, layer, grad_y, cache=None):
+    """Backward of a layer of any kind: (grad_x, grad_w, grad_bias,
+    grad_rates), with grad_rates None unless the layer is adaptive. An
+    adaptive layer needs the cache `conv_forward` returned for it."""
+    if layer.kind == ADAPTIVE:
+        if cache is None:
+            raise ValueError("an adaptive layer needs its forward cache")
+        return asc_conv_backward(x, layer, None, grad_y, cache=cache)
+    if layer.kind == DILATED:
+        return (*conv_dilated_backward(x, layer, grad_y), None)
+    return (*conv_classic_backward(x, layer, grad_y), None)
+
+
 def oracle_asc_forward(x, layer, rates) -> np.ndarray:
     """Literal adaptive convolution summing the tent kernel over every
     integer location of the map. Quadratic in pixels; test oracle only."""
-    if layer.kind != ADAPTIVE:
-        raise ValueError(f"expected an adaptive layer, got {layer.kind!r}")
-    x3 = _check_input(x, layer)
+    x3 = _check_input(x, layer, ADAPTIVE)
     c, h, w = x3.shape
     r = _check_rates(rates, h, w).reshape(h, w)
     o = layer.out_channels

@@ -139,17 +139,6 @@ def build_reduced_asc_model(num_asc_layers, num_classes=2, height=8, width=8,
     return Model(spec, layers, ratenet)
 
 
-def _layer_forward(layer, x, plan, return_cache):
-    if layer.kind == CLASSIC:
-        return convops.conv_classic_forward(x, layer), None
-    if layer.kind == DILATED:
-        return convops.conv_dilated_forward(x, layer), None
-    if return_cache:
-        return convops.asc_conv_forward(x, layer, None, plan=plan,
-                                        return_cache=True)
-    return convops.asc_conv_forward(x, layer, None, plan=plan), None
-
-
 def rate_network_forward(image, net: RateNetwork, return_cache=False):
     """Raw image -> (1,1,H,W) non-negative rate field (conv+ReLU three times)."""
     x = image
@@ -200,11 +189,11 @@ def model_forward(model: Model, image, return_cache=False):
     inputs, preacts, asc_caches = [], [], []
     last = len(model.layers) - 1
     for i, layer in enumerate(model.layers):
-        z, asc_cache = _layer_forward(layer, x, plan, return_cache)
+        z, conv_cache = convops.conv_forward(x, layer, plan, return_cache)
         if return_cache:
             inputs.append(x)
             preacts.append(z)
-            asc_caches.append(asc_cache)
+            asc_caches.append(conv_cache)
         x = z if i == last else tensor.relu(z)
     logits = x
 
@@ -239,18 +228,10 @@ def model_backward(model: Model, cache, grad_logits):
         layer = model.layers[i]
         if i != last:
             g = tensor.relu_backward(cache["preacts"][i], g)
-        x = cache["inputs"][i]
-        if layer.kind == CLASSIC:
-            gx, gw, gb = convops.conv_classic_backward(x, layer, g)
-        elif layer.kind == DILATED:
-            gx, gw, gb = convops.conv_dilated_backward(x, layer, g)
-        else:
-            gx, gw, gb, gr = convops.asc_conv_backward(
-                x, layer, cache["rates"], g, cache=cache["asc_caches"][i])
-            if grad_rates_total is None:
-                grad_rates_total = gr
-            else:
-                grad_rates_total = grad_rates_total + gr
+        gx, gw, gb, gr = convops.conv_backward(
+            cache["inputs"][i], layer, g, cache["asc_caches"][i])
+        if gr is not None:
+            grad_rates_total = gr if grad_rates_total is None else grad_rates_total + gr
         grads[f"layer{i}.weight"] = gw
         grads[f"layer{i}.bias"] = gb
         g = gx

@@ -36,11 +36,6 @@ def he_init(rng: np.random.Generator, shape, dtype=np.float32) -> np.ndarray:
     return rng.normal(0.0, std, size=shape).astype(dtype)
 
 
-def assert_finite(x: np.ndarray, what: str = "tensor") -> None:
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{what} contains non-finite values")
-
-
 def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0)
 

@@ -12,8 +12,8 @@ from . import convops, data, models, tensor
 
 
 class TrainingDiverged(RuntimeError):
-    def __init__(self, iteration, loss):
-        super().__init__(f"loss became non-finite ({loss}) at iteration {iteration}")
+    def __init__(self, iteration, what):
+        super().__init__(f"{what} became non-finite at iteration {iteration}")
         self.iteration = iteration
 
 
@@ -25,8 +25,7 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     seed: int = 0
-    deterministic: bool = True
-    checkpoint_every: int = 0
+    deterministic: bool = False
     log_every: int = 100
 
     def __post_init__(self):
@@ -48,11 +47,12 @@ class TrainReport:
                 f.write(f"{it},{loss!r},{sec:.3f}\n")
 
 
-def train(model, samples, cfg: TrainConfig, checkpoint_path=None):
+def train(model, samples, cfg: TrainConfig):
     """Batch-of-one Adam training with per-epoch shuffling from cfg.seed.
 
     In deterministic mode logged wall-clock is recorded as 0 so two runs
-    with the same seed produce byte-identical reports.
+    with the same seed produce byte-identical reports. Raises
+    `TrainingDiverged` when the loss or the rate field turns non-finite.
     """
     if not samples:
         raise ValueError("empty training set")
@@ -76,22 +76,20 @@ def train(model, samples, cfg: TrainConfig, checkpoint_path=None):
             order = shuffle_rng.permutation(len(samples))
         sample = samples[order[pos]]
 
-        logits, rates, cache = models.model_forward(model, sample.image,
-                                                    return_cache=True)
+        try:
+            logits, rates, cache = models.model_forward(model, sample.image,
+                                                        return_cache=True)
+        except convops.NonFiniteRates:
+            raise TrainingDiverged(it, "rate field") from None
         loss, grad_logits = tensor.softmax_cross_entropy(logits, sample.labels)
         if not np.isfinite(loss):
-            raise TrainingDiverged(it, loss)
+            raise TrainingDiverged(it, f"loss ({loss})")
         grads = models.model_backward(model, cache, grad_logits)
         opt.step(grads)
 
         if it % cfg.log_every == 0 or it == 1 or it == cfg.iterations:
             sec = 0.0 if cfg.deterministic else time.monotonic() - start
             report.records.append((it, loss, sec))
-        if checkpoint_path and cfg.checkpoint_every and it % cfg.checkpoint_every == 0:
-            models.save_checkpoint(model, checkpoint_path)
-
-    if checkpoint_path:
-        models.save_checkpoint(model, checkpoint_path)
     return model, report
 
 
@@ -200,19 +198,13 @@ def _entry(group, analytic, numeric, tol):
 def _check_int_conv(kind, seed, h, tol):
     rng = tensor.make_rng(seed)
     x = rng.standard_normal((1, 2, 6, 6))
-    if kind == "classic":
-        layer = convops.ConvLayer(rng.standard_normal((3, 2, 3, 3)),
-                                  rng.standard_normal(3), convops.CLASSIC)
-        fwd = lambda: convops.conv_classic_forward(x, layer)
-        bwd = convops.conv_classic_backward
-    else:
-        layer = convops.ConvLayer(rng.standard_normal((3, 2, 3, 3)),
-                                  rng.standard_normal(3), convops.DILATED, 2)
-        fwd = lambda: convops.conv_dilated_forward(x, layer)
-        bwd = convops.conv_dilated_backward
+    # A classic layer ignores the rate.
+    layer = convops.ConvLayer(rng.standard_normal((3, 2, 3, 3)),
+                              rng.standard_normal(3), kind, rate=2)
+    fwd = lambda: convops.conv_forward(x, layer)[0]
     g = rng.standard_normal(fwd().shape)
     loss = lambda: float((fwd() * g).sum())
-    gx, gw, gb = bwd(x, layer, g)
+    gx, gw, gb, _ = convops.conv_backward(x, layer, g)
     return [
         _entry("input", gx, central_diff(loss, x, h), tol),
         _entry("weights", gw, central_diff(loss, layer.weights, h), tol),
@@ -304,7 +296,8 @@ def _check_model(seed, h, tol):
     ]
 
 
-_TARGET_DEFAULTS = {
+# Gradient-check targets and their default tolerances.
+GRADCHECK_TOLERANCES = {
     "classic": 1e-6,
     "dilated": 1e-6,
     "asc": 1e-4,
@@ -320,10 +313,10 @@ def grad_check(target: str, seed: int = 0, h: float = 1e-4,
     targets: classic | dilated | asc | ratenet | model (a reduced-depth
     adaptive network including the rate-network parameters).
     """
-    if target not in _TARGET_DEFAULTS:
+    if target not in GRADCHECK_TOLERANCES:
         raise ValueError(f"unknown gradcheck target {target!r}")
     if tol is None:
-        tol = _TARGET_DEFAULTS[target]
+        tol = GRADCHECK_TOLERANCES[target]
     if target in ("classic", "dilated"):
         entries = _check_int_conv(target, seed, h, tol)
     elif target == "asc":

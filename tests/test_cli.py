@@ -101,6 +101,34 @@ class TestTrainEval:
             blobs.append(ckpt.read_bytes() + report.read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_rate_network_divergence_names_iteration(self, corpus_dir, tmp_path,
+                                                      capsys, monkeypatch):
+        build = models.build_model
+
+        def diverged(*args, **kwargs):
+            model = build(*args, **kwargs)
+            model.ratenet.layers[0].weights[...] = np.inf
+            return model
+
+        monkeypatch.setattr(models, "build_model", diverged)
+        with np.errstate(invalid="ignore"):
+            rc = main(["train", "--model", "ascnet7", "--data", str(corpus_dir),
+                       "--iters", "3", "--out", str(tmp_path / "m.asct")])
+        assert rc == 2
+        assert "training diverged at iteration 1" in capsys.readouterr().err
+        assert not (tmp_path / "m.asct").exists()
+
+    def test_eval_with_non_finite_rates_fails_cleanly(self, corpus_dir, tmp_path,
+                                                      capsys):
+        model = build_model(ModelSpec("ascnet7", 2, 32, 32), 0)
+        model.ratenet.layers[0].weights[...] = np.inf
+        ckpt = tmp_path / "inf.asct"
+        save_checkpoint(model, ckpt)
+        with np.errstate(invalid="ignore"):
+            rc = main(["eval", "--ckpt", str(ckpt), "--data", str(corpus_dir)])
+        assert rc == 2
+        assert "rate field contains non-finite values" in capsys.readouterr().err
+
     def test_eval_prints_metrics(self, trained_ckpt, corpus_dir, capsys):
         assert main(["eval", "--ckpt", str(trained_ckpt),
                      "--data", str(corpus_dir)]) == 0

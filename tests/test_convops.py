@@ -508,6 +508,100 @@ class TestTapBlocks:
                                   plan.S[t * n:(t + 1) * n].toarray())
 
 
+class TestDispatch:
+    """`conv_forward`/`conv_backward` serve every kind through the per-kind
+    op, and every public op checks the kind and the gradient shape."""
+
+    FORWARDS = {
+        convops.CLASSIC: conv_classic_forward,
+        convops.DILATED: conv_dilated_forward,
+        convops.ADAPTIVE: lambda x, l: asc_conv_forward(x, l, np.ones((1, 1, 5, 6))),
+    }
+    BACKWARDS = {
+        convops.CLASSIC: conv_classic_backward,
+        convops.DILATED: conv_dilated_backward,
+        convops.ADAPTIVE: lambda x, l, g: asc_conv_backward(x, l, np.ones((1, 1, 5, 6)), g),
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind,rate", [(convops.CLASSIC, 1), (convops.DILATED, 3),
+                                           (convops.ADAPTIVE, 1)])
+    def test_matches_per_kind_op_bit_for_bit(self, kind, rate, dtype):
+        rng = RNG(40)
+        x = rng.standard_normal((1, 3, 5, 6)).astype(dtype)
+        layer = make_layer(rng, 4, 3, kind, rate)
+        layer = ConvLayer(layer.weights.astype(dtype), layer.bias.astype(dtype), kind, rate)
+        g = rng.standard_normal((1, 4, 5, 6)).astype(dtype)
+        rates = rng.uniform(0.0, 2.5, (1, 1, 5, 6)).astype(dtype)
+        plan = convops.build_sampling_plan(rates, 5, 6)
+        y, cache = convops.conv_forward(x, layer, plan, return_cache=True)
+        grads = convops.conv_backward(x, layer, g, cache)
+        if kind == convops.CLASSIC:
+            want_y = conv_classic_forward(x, layer)
+            want = (*conv_classic_backward(x, layer, g), None)
+        elif kind == convops.DILATED:
+            want_y = conv_dilated_forward(x, layer)
+            want = (*conv_dilated_backward(x, layer, g), None)
+        else:
+            want_y = asc_conv_forward(x, layer, rates)
+            want = asc_conv_backward(x, layer, rates, g)
+        assert y.dtype == want_y.dtype and y.tobytes() == want_y.tobytes()
+        assert len(grads) == 4
+        for got, ref in zip(grads, want):
+            if ref is None:
+                assert got is None
+            else:
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+    def test_forward_keeps_no_cache_unless_asked(self):
+        rng = RNG(41)
+        x = rng.standard_normal((1, 2, 5, 6))
+        plan = convops.build_sampling_plan(np.full((1, 1, 5, 6), 1.5), 5, 6)
+        for kind in self.FORWARDS:
+            layer = make_layer(rng, 2, 2, kind)
+            assert convops.conv_forward(x, layer, plan)[1] is None
+
+    def test_adaptive_needs_plan_and_cache(self):
+        rng = RNG(42)
+        x = rng.standard_normal((1, 2, 5, 6))
+        layer = make_layer(rng, 2, 2, convops.ADAPTIVE)
+        with pytest.raises(ValueError, match="sampling plan"):
+            convops.conv_forward(x, layer)
+        with pytest.raises(ValueError, match="forward cache"):
+            convops.conv_backward(x, layer, np.zeros((1, 2, 5, 6)))
+
+    @pytest.mark.parametrize("op_kind", list(FORWARDS))
+    def test_ops_reject_a_layer_of_another_kind(self, op_kind):
+        rng = RNG(43)
+        x = rng.standard_normal((1, 2, 5, 6))
+        g = np.zeros((1, 2, 5, 6))
+        for kind in self.FORWARDS:
+            if kind == op_kind:
+                continue
+            layer = make_layer(rng, 2, 2, kind)
+            with pytest.raises(ValueError, match=f"expected a layer of kind '{op_kind}'"):
+                self.FORWARDS[op_kind](x, layer)
+            with pytest.raises(ValueError, match=f"expected a layer of kind '{op_kind}'"):
+                self.BACKWARDS[op_kind](x, layer, g)
+
+    @pytest.mark.parametrize("kind", list(FORWARDS) + ["dispatch"])
+    @pytest.mark.parametrize("shape", [(1, 3, 5, 6), (1, 2, 6, 5), (2, 2, 5, 6), (2, 5, 6)])
+    def test_backwards_reject_misshaped_grad_y(self, kind, shape):
+        rng = RNG(44)
+        x = rng.standard_normal((1, 2, 5, 6))
+        g = np.zeros(shape)
+        if kind == "dispatch":
+            layer = make_layer(rng, 2, 2, convops.ADAPTIVE)
+            plan = convops.build_sampling_plan(np.ones((1, 1, 5, 6)), 5, 6)
+            _, cache = convops.conv_forward(x, layer, plan, return_cache=True)
+            call = lambda: convops.conv_backward(x, layer, g, cache)
+        else:
+            layer = make_layer(rng, 2, 2, kind)
+            call = lambda: self.BACKWARDS[kind](x, layer, g)
+        with pytest.raises(ValueError, match="grad_y shape"):
+            call()
+
+
 def test_integer_models_never_import_scipy(tmp_path):
     """scipy is imported where the sampling plan is built, so a classic or
     dilated model never pays for its import."""

@@ -70,6 +70,18 @@ class TestTrain:
             with pytest.raises(training.TrainingDiverged, match="iteration 1"):
                 train(model, train_set, TrainConfig(iterations=3, seed=0))
 
+    def test_rate_network_divergence_raises_with_iteration(self, tiny_corpus):
+        train_set, _ = tiny_corpus
+        model = tiny_model("ascnet7", seed=0)
+        model.ratenet.layers[0].weights[...] = np.inf
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(training.TrainingDiverged,
+                               match="rate field became non-finite at iteration 1"):
+                train(model, train_set, TrainConfig(iterations=3, seed=0))
+
+    def test_default_config_is_not_deterministic(self):
+        assert TrainConfig().deterministic is False
+
     def test_dim_mismatch_rejected(self, tiny_corpus):
         train_set, _ = tiny_corpus
         model = tiny_model(hw=16)
