@@ -93,16 +93,18 @@ def _load_split(root, split):
 
 def _cmd_synth(args):
     cfg_kwargs = {}
-    if args.config:
-        with open(args.config) as f:
-            cfg_kwargs = json.load(f)
-        for key in ("small_radius", "large_radius", "small_per_image",
-                    "large_per_image"):
-            if key in cfg_kwargs:
-                cfg_kwargs[key] = tuple(cfg_kwargs[key])
-    if args.seed is not None:
-        cfg_kwargs["seed"] = args.seed
-    cfg = data.SynthConfig(**cfg_kwargs)
+    try:
+        if args.config:
+            with open(args.config) as f:
+                cfg_kwargs = json.load(f)
+            if not isinstance(cfg_kwargs, dict):
+                raise ValueError("expected a JSON object of SynthConfig fields")
+        if args.seed is not None:
+            cfg_kwargs["seed"] = args.seed
+        # An unknown field or a value of the wrong type is a TypeError.
+        cfg = data.SynthConfig(**cfg_kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{args.config}: {exc}") from None
     train_set, test_set = data.generate_synth(cfg)
     out = Path(args.out)
     data.write_samples(train_set, out / "train")
@@ -154,13 +156,6 @@ def _cmd_train(args):
 def _cmd_eval(args):
     model = models.load_checkpoint(args.ckpt)
     samples = _load_split(args.data, "test")
-    for s in samples:
-        if s.image.shape[2:] != (model.spec.height, model.spec.width):
-            print(
-                f"data dims {s.image.shape[2:]} do not match checkpoint "
-                f"({model.spec.height},{model.spec.width})", file=sys.stderr,
-            )
-            return 2
     result = training.evaluate(model, samples, pooled=args.pooled)
     print(f"dice={result.dice:.4f} precision={result.precision:.4f} "
           f"recall={result.recall:.4f}")

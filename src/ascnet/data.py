@@ -47,9 +47,14 @@ class SynthConfig:
     def __post_init__(self):
         if self.height < 32 or self.width < 32:
             raise ValueError("image dims must be >= 32")
-        for lo, hi in (self.small_radius, self.large_radius):
+        limit = min(self.height, self.width) / 2 - 1  # room for r + 1 each side
+        for name in ("small_radius", "large_radius"):
+            lo, hi = getattr(self, name)
             if lo <= 0 or hi < lo:
                 raise ValueError("radius ranges must be positive and ordered")
+            if hi > limit:
+                raise ValueError(f"{name} upper end {hi} exceeds min(height, "
+                                 f"width) / 2 - 1 = {limit}: no disk fits")
         if self.small_radius[1] >= self.large_radius[0]:
             raise ValueError("small and large radius ranges must be disjoint")
 

@@ -47,6 +47,15 @@ class TrainReport:
                 f.write(f"{it},{loss!r},{sec:.3f}\n")
 
 
+def _check_dims(model, samples):
+    """Raise ValueError unless every sample has the model's (H, W)."""
+    dims = (model.spec.height, model.spec.width)
+    for s in samples:
+        if s.image.shape[2:] != dims:
+            raise ValueError(
+                f"sample dims {s.image.shape[2:]} do not match model {dims}")
+
+
 def train(model, samples, cfg: TrainConfig):
     """Batch-of-one Adam training with per-epoch shuffling from cfg.seed.
 
@@ -56,12 +65,7 @@ def train(model, samples, cfg: TrainConfig):
     """
     if not samples:
         raise ValueError("empty training set")
-    for s in samples:
-        if s.image.shape[2:] != (model.spec.height, model.spec.width):
-            raise ValueError(
-                f"sample dims {s.image.shape[2:]} do not match model "
-                f"({model.spec.height},{model.spec.width})"
-            )
+    _check_dims(model, samples)
 
     params = models.param_dict(model)
     opt = tensor.Adam(params, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
@@ -106,6 +110,7 @@ def evaluate(model, samples, pooled: bool = False) -> EvalResult:
     pooled=True counts are pooled over the whole dataset instead."""
     if not samples:
         raise ValueError("empty evaluation set")
+    _check_dims(model, samples)
     num_classes = model.spec.num_classes
     counts = {c: [] for c in range(num_classes)}   # per image (|P&T|, |P|, |T|)
     for s in samples:
@@ -190,110 +195,80 @@ def is_kink_rates(rates, margin=1e-3) -> bool:
     return bool(np.any(np.abs(r - np.round(r)) < margin))
 
 
-def _entry(group, analytic, numeric, tol):
-    err = max_rel_err(analytic, numeric)
-    return GradCheckEntry(group, err, tol, "PASS" if err < tol else "FAIL")
+def _compare(loss, groups, h, tol):
+    """One GradCheckEntry per (name, array, analytic) group: the analytic
+    gradient against central differences of loss() over array. A group
+    whose analytic gradient is None is SKIPped."""
+    entries = []
+    for name, arr, analytic in groups:
+        if analytic is None:
+            entries.append(GradCheckEntry(name, float("nan"), tol, "SKIP"))
+            continue
+        err = max_rel_err(analytic, central_diff(loss, arr, h))
+        entries.append(GradCheckEntry(name, err, tol, "PASS" if err < tol else "FAIL"))
+    return entries
 
 
-def _check_int_conv(kind, seed, h, tol):
+def _check_conv(kind, seed, h, tol, rates=None):
+    """One layer through `conv_forward`/`conv_backward`, as training runs
+    it; the loss rebuilds the sampling plan, so it sees rate changes. The
+    rate group is SKIPped when a rate sits within 1e-3 of an integer, a
+    tent-kernel kink that central differences would straddle."""
     rng = tensor.make_rng(seed)
     x = rng.standard_normal((1, 2, 6, 6))
-    # A classic layer ignores the rate.
+    # Only a dilated layer reads the rate.
     layer = convops.ConvLayer(rng.standard_normal((3, 2, 3, 3)),
                               rng.standard_normal(3), kind, rate=2)
-    fwd = lambda: convops.conv_forward(x, layer)[0]
-    g = rng.standard_normal(fwd().shape)
-    loss = lambda: float((fwd() * g).sum())
-    gx, gw, gb, _ = convops.conv_backward(x, layer, g)
-    return [
-        _entry("input", gx, central_diff(loss, x, h), tol),
-        _entry("weights", gw, central_diff(loss, layer.weights, h), tol),
-        _entry("bias", gb, central_diff(loss, layer.bias, h), tol),
-    ]
-
-
-def check_asc_gradients(x, layer, rates, h=1e-4, tol=1e-4):
-    """All four adaptive-conv gradient groups against central differences.
-
-    The rate group is SKIPped when any rate sits within 1e-3 of an integer:
-    the tent kernel is not differentiable there and central differences
-    straddle the kink.
-    """
-    rng = tensor.make_rng(12345)
-    g = rng.standard_normal((1, layer.out_channels) + x.shape[2:])
-    loss = lambda: float((convops.asc_conv_forward(x, layer, rates) * g).sum())
-    gx, gw, gb, gr = convops.asc_conv_backward(x, layer, rates, g)
-    entries = [
-        _entry("input", gx, central_diff(loss, x, h), tol),
-        _entry("weights", gw, central_diff(loss, layer.weights, h), tol),
-        _entry("bias", gb, central_diff(loss, layer.bias, h), tol),
-    ]
-    if is_kink_rates(rates):
-        entries.append(GradCheckEntry("rates", float("nan"), tol, "SKIP"))
-    else:
-        entries.append(_entry("rates", gr, central_diff(loss, rates, h), tol))
-    return entries
-
-
-def _check_asc(seed, h, tol, rates=None):
-    rng = tensor.make_rng(seed)
-    x = rng.standard_normal((1, 2, 6, 6))
-    layer = convops.ConvLayer(rng.standard_normal((3, 2, 3, 3)),
-                              rng.standard_normal(3), convops.ADAPTIVE)
-    if rates is None:
+    adaptive = kind == convops.ADAPTIVE
+    if adaptive and rates is None:
         rates = offkink_rates(rng, (1, 1, 6, 6))
-    return check_asc_gradients(x, layer, rates, h, tol)
+    plan = lambda: convops.build_sampling_plan(rates, 6, 6) if adaptive else None
+    g = rng.standard_normal((1, 3, 6, 6))
+    loss = lambda: float((convops.conv_forward(x, layer, plan())[0] * g).sum())
+    _, cache = convops.conv_forward(x, layer, plan(), return_cache=True)
+    gx, gw, gb, gr = convops.conv_backward(x, layer, g, cache)
+    groups = [("input", x, gx), ("weights", layer.weights, gw),
+              ("bias", layer.bias, gb)]
+    if adaptive:
+        groups.append(("rates", rates, None if is_kink_rates(rates) else gr))
+    return _compare(loss, groups, h, tol)
 
 
-def _check_ratenet(seed, h, tol):
-    rng = tensor.make_rng(seed)
-    image = rng.standard_normal((1, 1, 6, 6))
-    net = models.RateNetwork([
-        convops.ConvLayer(tensor.he_init(rng, (c, p, 3, 3), np.float64),
-                          rng.standard_normal(c) * 0.1, convops.CLASSIC)
-        for p, c in ((1, 8), (8, 4), (4, 1))
-    ])
-    g = rng.standard_normal((1, 1, 6, 6))
-
-    def loss():
-        return float((models.rate_network_forward(image, net) * g).sum())
-
-    _, cache = models.rate_network_forward(image, net, return_cache=True)
-    grads = models.rate_network_backward(net, cache, g)
-    entries = []
-    for j in range(3):
-        layer = net.layers[j]
-        for part, arr in (("weight", layer.weights), ("bias", layer.bias)):
-            entries.append(_entry(
-                f"layer{j}.{part}", grads[f"ratenet.layer{j}.{part}"],
-                central_diff(loss, arr, h), tol,
-            ))
-    return entries
-
-
-def _check_model(seed, h, tol):
+def _check_net(target, seed, h, tol):
+    """Parameter gradients of a reduced adaptive model: the rate network's
+    under a loss on the rate field ("ratenet"), or all under cross-entropy."""
     rng = tensor.make_rng(seed)
     model = models.build_reduced_asc_model(2, seed=seed)
-    # Random rate network so the rate path is exercised away from the
-    # all-ones init (whose exactly-integer rates sit on tent-kernel kinks).
-    for layer in model.ratenet.layers:
-        layer.weights[...] = tensor.he_init(rng, layer.weights.shape, np.float64)
-        layer.bias[...] = rng.standard_normal(layer.bias.shape) * 0.1
-    model.ratenet.layers[-1].bias += 1.0
-    image = rng.standard_normal((1, 1, 8, 8))
-    labels = rng.integers(0, model.spec.num_classes, size=(1, 8, 8))
+    # A random rate network exercises the rate path away from the all-ones
+    # init, whose integer rates sit on tent-kernel kinks. It is redrawn while
+    # a ReLU input or a positive rate lies within 1e-3 of a kink, which
+    # central differences would straddle.
+    while True:
+        for layer in model.ratenet.layers:
+            layer.weights[...] = tensor.he_init(rng, layer.weights.shape, np.float64)
+            layer.bias[...] = rng.standard_normal(layer.bias.shape) * 0.1
+        model.ratenet.layers[-1].bias += 1.0
+        image = rng.standard_normal((1, 1, 8, 8))
+        logits, rates, cache = models.model_forward(model, image, return_cache=True)
+        relu_inputs = cache["preacts"][:-1] + cache["ratenet"]["preacts"]
+        if (min(np.abs(z).min() for z in relu_inputs) >= 1e-3
+                and not is_kink_rates(rates[rates > 0])):
+            break
 
-    def loss():
-        logits, _ = models.model_forward(model, image)
-        return tensor.softmax_cross_entropy(logits, labels)[0]
-
-    logits, _, cache = models.model_forward(model, image, return_cache=True)
-    _, grad_logits = tensor.softmax_cross_entropy(logits, labels)
-    grads = models.model_backward(model, cache, grad_logits)
-    return [
-        _entry(name, grads[name], central_diff(loss, arr, h), tol)
-        for name, arr in models.param_dict(model).items()
-    ]
+    if target == "ratenet":
+        g = rng.standard_normal(rates.shape)
+        loss = lambda: float((models.rate_network_forward(image, model.ratenet)
+                              * g).sum())
+        grads = models.rate_network_backward(model.ratenet, cache["ratenet"], g)
+    else:
+        labels = rng.integers(0, 2, size=(1, 8, 8))
+        loss = lambda: tensor.softmax_cross_entropy(
+            models.model_forward(model, image)[0], labels)[0]
+        grad_logits = tensor.softmax_cross_entropy(logits, labels)[1]
+        grads = models.model_backward(model, cache, grad_logits)
+    return _compare(loss, [(name, arr, grads[name]) for name, arr in
+                           models.param_dict(model).items() if name in grads],
+                    h, tol)
 
 
 # Gradient-check targets and their default tolerances.
@@ -304,6 +279,8 @@ GRADCHECK_TOLERANCES = {
     "ratenet": 1e-5,
     "model": 1e-3,
 }
+_CONV_TARGETS = {"classic": convops.CLASSIC, "dilated": convops.DILATED,
+                 "asc": convops.ADAPTIVE}
 
 
 def grad_check(target: str, seed: int = 0, h: float = 1e-4,
@@ -317,12 +294,8 @@ def grad_check(target: str, seed: int = 0, h: float = 1e-4,
         raise ValueError(f"unknown gradcheck target {target!r}")
     if tol is None:
         tol = GRADCHECK_TOLERANCES[target]
-    if target in ("classic", "dilated"):
-        entries = _check_int_conv(target, seed, h, tol)
-    elif target == "asc":
-        entries = _check_asc(seed, h, tol, rates=asc_rates)
-    elif target == "ratenet":
-        entries = _check_ratenet(seed, h, tol)
+    if target in _CONV_TARGETS:
+        entries = _check_conv(_CONV_TARGETS[target], seed, h, tol, asc_rates)
     else:
-        entries = _check_model(seed, h, tol)
+        entries = _check_net(target, seed, h, tol)
     return GradCheckReport(target, entries)

@@ -69,6 +69,23 @@ class TestSynth:
     def test_unwritable_path_fails(self):
         assert main(["synth", "--out", "/proc/nope"]) == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "JSON object"),
+        ('{"hieght": 40}', "hieght"),
+        ('{"height": "abc"}', "not supported"),
+        ('{"num_train": 2,', "line 1"),
+        ('{"height": 32, "width": 32}', "large_radius"),
+    ])
+    def test_bad_config_names_file(self, tmp_path, capsys, text, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["synth", "--out", str(out), "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg_path}: " in err and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestTrainEval:
     def test_single_iteration_writes_outputs(self, corpus_dir, tmp_path):

@@ -84,6 +84,15 @@ class TestGenerateSynth:
         with pytest.raises(ValueError, match="disjoint"):
             SynthConfig(small_radius=(2, 11), large_radius=(10, 16))
 
+    def test_radius_that_cannot_fit_rejected(self):
+        # A disk centre needs radius + 1 px on each side: r <= 32 / 2 - 1.
+        with pytest.raises(ValueError, match="large_radius"):
+            SynthConfig(height=32, width=40)  # default large_radius (10, 16)
+        with pytest.raises(ValueError, match="small_radius"):
+            SynthConfig(height=40, width=32, small_radius=(2.0, 15.5),
+                        large_radius=(16.0, 17.0))
+        SynthConfig(height=32, width=32, large_radius=(10.0, 15.0))
+
     def test_infeasible_placement_errors(self):
         with pytest.raises(RuntimeError, match="place"):
             generate_synth(small_cfg(large_per_image=(8, 8), max_place_tries=5))

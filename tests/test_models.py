@@ -114,6 +114,26 @@ class TestModelForward:
         assert len(plans) == 1  # every adaptive layer consumed the same plan
         assert np.array_equal(cache["plan"].rates, rates.reshape(-1))
 
+    @pytest.mark.parametrize("variant", ["classic7", "ascnet7"])
+    def test_cache_layout(self, variant):
+        m = build_model(ModelSpec(variant, height=12, width=12), 2)
+        image = np.random.default_rng(0).standard_normal((1, 1, 12, 12)).astype(np.float32)
+        logits, rates, cache = models.model_forward(m, image, return_cache=True)
+        for key in ("inputs", "preacts", "asc_caches"):
+            assert len(cache[key]) == 7
+        assert cache["inputs"][0] is image
+        assert cache["preacts"][-1] is logits   # no ReLU on the logits
+        assert cache["rates"] is rates
+        if variant == "classic7":
+            assert cache["plan"] is None and cache["ratenet"] is None
+            assert all(c is None for c in cache["asc_caches"])
+            return
+        ratenet = cache["ratenet"]
+        assert len(ratenet["inputs"]) == len(ratenet["preacts"]) == 3
+        assert ratenet["inputs"][0] is image
+        assert np.array_equal(np.maximum(ratenet["preacts"][-1], 0), rates)
+        assert all(c[0] is cache["plan"] for c in cache["asc_caches"])
+
 
 class TestModelBackward:
     def test_zero_grad_logits(self):
@@ -163,6 +183,14 @@ class TestModelBackward:
         for name, g in grads.items():
             assert np.all(np.isfinite(g)), name
             assert g.shape == models.param_dict(m)[name].shape
+
+
+    def test_reduced_model_layout(self):
+        m = models.build_reduced_asc_model(3, seed=4)
+        assert (m.spec.height, m.spec.width, m.spec.num_classes) == (8, 8, 2)
+        assert [l.out_channels for l in m.layers] == [4, 4, 2]
+        assert all(l.kind == ADAPTIVE for l in m.layers)
+        assert all(a.dtype == np.float64 for a in models.param_dict(m).values())
 
 
 class TestCheckpoint:

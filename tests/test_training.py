@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ascnet import data, models, tensor, training
+from ascnet import convops, data, models, tensor, training
 from ascnet.models import ModelSpec, build_model
 from ascnet.training import TrainConfig, evaluate, grad_check, train
 
@@ -145,6 +145,11 @@ class TestEvaluate:
         result = evaluate(tiny_model(seed=7), test_set, pooled=True)
         assert 0.0 <= result.dice <= 1.0
 
+    def test_dim_mismatch_rejected(self, tiny_corpus):
+        _, test_set = tiny_corpus
+        with pytest.raises(ValueError, match="dims"):
+            evaluate(tiny_model(hw=16), test_set)
+
 
 class TestGradCheck:
     @pytest.mark.parametrize("target", ["classic", "dilated", "asc", "ratenet"])
@@ -175,3 +180,45 @@ class TestGradCheck:
         rng = tensor.make_rng(0)
         r = training.offkink_rates(rng, (1, 1, 50, 50))
         assert np.all(np.abs(r - np.round(r)) >= 1e-3)
+
+
+def _scaled_conv_backward(monkeypatch, which, kind=None):
+    """Make `convops.conv_backward` return output `which` (0 = grad_x,
+    1 = grad_w) scaled by 1.01, for layers of `kind` or every layer."""
+    real = convops.conv_backward
+
+    def wrong(x, layer, grad_y, cache=None):
+        out = list(real(x, layer, grad_y, cache))
+        if kind is None or layer.kind == kind:
+            out[which] = out[which] * 1.01
+        return tuple(out)
+
+    monkeypatch.setattr(convops, "conv_backward", wrong)
+
+
+class TestGradCheckHarness:
+    @pytest.mark.parametrize("target", ["classic", "asc"])
+    def test_wrong_input_gradient_fails(self, target, monkeypatch):
+        _scaled_conv_backward(monkeypatch, 0)
+        report = grad_check(target)
+        by_group = {e.group: e.status for e in report.entries}
+        assert by_group["input"] == "FAIL"
+        assert by_group["weights"] == "PASS"
+        assert not report.passed
+
+    @pytest.mark.parametrize("target", ["ratenet", "model"])
+    def test_wrong_rate_network_weight_gradient_fails(self, target, monkeypatch):
+        # The rate network is the only classic stack in the reduced model.
+        _scaled_conv_backward(monkeypatch, 1, convops.CLASSIC)
+        report = grad_check(target)
+        failed = {e.group for e in report.entries if e.status == "FAIL"}
+        assert failed == {f"ratenet.layer{j}.weight" for j in range(3)}
+        assert not report.passed
+
+    def test_ratenet_groups_named_like_checkpoint(self):
+        report = grad_check("ratenet")
+        assert [e.group for e in report.entries] == [
+            f"ratenet.layer{j}.{part}" for j in range(3)
+            for part in ("weight", "bias")
+        ]
+        assert report.passed
