@@ -33,6 +33,13 @@ def _positive_int(value):
     return iv
 
 
+def _seed_list(value):
+    seeds = [int(s) for s in value.split(",") if s.strip()]
+    if not seeds:
+        raise argparse.ArgumentTypeError("must name at least one seed")
+    return seeds
+
+
 def _build_parser():
     parser = _Parser(prog="ascnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -47,9 +54,6 @@ def _build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--iters", type=_positive_int, default=2000)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--beta1", type=float, default=0.9)
-    p.add_argument("--beta2", type=float, default=0.999)
-    p.add_argument("--eps", type=float, default=1e-8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--deterministic", action="store_true")
     p.add_argument("--out", required=True, help="checkpoint path")
@@ -70,7 +74,7 @@ def _build_parser():
     p = sub.add_parser("bench", help="train and compare the three 7-layer models")
     p.add_argument("--data", required=True)
     p.add_argument("--iters", type=_positive_int, default=2000)
-    p.add_argument("--seeds", default="1,2,3")
+    p.add_argument("--seeds", type=_seed_list, default="1,2,3")
     p.add_argument("--lr", type=float, default=1e-3)
 
     p = sub.add_parser("ratefield", help="export the learned rate field")
@@ -117,21 +121,18 @@ def _cmd_synth(args):
     return 0
 
 
-def _train_one(variant, train_set, cfg, num_classes=2):
-    h, w = train_set[0].image.shape[2:]
-    in_ch = train_set[0].image.shape[1]
-    spec = models.ModelSpec(variant, num_classes, h, w, in_ch)
+def _train_one(variant, train_set, cfg):
+    in_ch, h, w = train_set[0].image.shape[1:]
+    spec = models.ModelSpec(variant, height=h, width=w, in_channels=in_ch)
     model = models.build_model(spec, tensor.make_rng(cfg.seed))
     return training.train(model, train_set, cfg)
 
 
 def _cmd_train(args):
     train_set = _load_split(args.data, "train")
-    cfg = training.TrainConfig(
-        iterations=args.iters, lr=args.lr, beta1=args.beta1, beta2=args.beta2,
-        eps=args.eps, seed=args.seed, deterministic=args.deterministic,
-        log_every=args.log_every,
-    )
+    cfg = training.TrainConfig(iterations=args.iters, lr=args.lr, seed=args.seed,
+                               deterministic=args.deterministic,
+                               log_every=args.log_every)
     try:
         model, report = _train_one(args.model, train_set, cfg)
     except training.TrainingDiverged as exc:
@@ -143,22 +144,18 @@ def _cmd_train(args):
 
     test_dir = Path(args.data) / "test"
     if test_dir.is_dir():
-        result = training.evaluate(model, data.load_image_dir(test_dir))
-        lines = [f"dice={result.dice:.4f}", f"precision={result.precision:.4f}",
-                 f"recall={result.recall:.4f}"]
-        print("\n".join(lines))
+        text = training.evaluate(model, data.load_image_dir(test_dir)).summary()
+        print(text)
         if args.report:
             with open(str(args.report) + ".metrics.txt", "w") as f:
-                f.write("\n".join(lines) + "\n")
+                f.write(text + "\n")
     return 0
 
 
 def _cmd_eval(args):
     model = models.load_checkpoint(args.ckpt)
     samples = _load_split(args.data, "test")
-    result = training.evaluate(model, samples, pooled=args.pooled)
-    print(f"dice={result.dice:.4f} precision={result.precision:.4f} "
-          f"recall={result.recall:.4f}")
+    print(training.evaluate(model, samples, pooled=args.pooled).summary())
     return 0
 
 
@@ -172,15 +169,6 @@ def _cmd_gradcheck(args):
 
 
 def _cmd_bench(args):
-    try:
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    except ValueError:
-        print("--seeds must be a comma-separated list of integers", file=sys.stderr)
-        return 1
-    if not seeds:
-        print("--seeds must name at least one seed", file=sys.stderr)
-        return 1
-
     train_set = _load_split(args.data, "train")
     test_set = _load_split(args.data, "test")
     print("note: synthetic desk-scale benchmark; absolute metric values are "
@@ -189,7 +177,7 @@ def _cmd_bench(args):
     rows = []
     for variant in ("classic7", "dilated7", "ascnet7"):
         per_seed = []
-        for seed in seeds:
+        for seed in args.seeds:
             cfg = training.TrainConfig(iterations=args.iters, lr=args.lr,
                                        seed=seed)
             model, _ = _train_one(variant, train_set, cfg)
@@ -217,28 +205,26 @@ def _cmd_ratefield(args):
         return 2
 
     img_path = Path(args.image)
-    raw = data.read_pgm(img_path)
-    # Labels and metadata are read before anything is written, so a bad
-    # corpus file leaves no partial export behind.
+    image, _ = data.read_image(img_path)
+    # Everything is read and checked before anything is written: a bad
+    # corpus file, or a rate field that `model_forward` finds non-finite
+    # as it does in `eval`, leaves no partial export behind.
     labels = None
-    lbl_path = img_path.with_name(img_path.name.replace("img_", "lbl_"))
+    lbl_path = data.label_path(img_path)
     meta_path = img_path.parent / "meta.csv"
-    if lbl_path.exists() and lbl_path != img_path:
-        labels = data.read_pgm(lbl_path).astype(np.int64)
+    if lbl_path is not None and lbl_path.exists():
+        labels = data.read_label(lbl_path, image.shape[2:])
         meta = []
         if meta_path.exists():
             meta = data.read_meta(meta_path).get(data.image_index(img_path), [])
 
-    maxval = 65535 if raw.dtype.itemsize == 2 else 255
-    h, w = raw.shape
-    image = data.preprocess(raw.astype(np.float32) / maxval).reshape(1, 1, h, w)
-    rates = models.rate_network_forward(image, model.ratenet)
+    _, rates = models.model_forward(model, image)
     data.export_rate_field(rates, args.out_prefix)
 
-    stats_lines = [f"mean={rates.mean()!r}"]
+    stats = {"mean": rates.mean()}
     if labels is not None:
-        stats = data.rate_stats(rates, labels, meta)
-        stats_lines += [f"{k}={v!r}" for k, v in stats.items()]
+        stats.update(data.rate_stats(rates, labels, meta))
+    stats_lines = [f"{k}={float(v)!r}" for k, v in stats.items()]
     with open(str(args.out_prefix) + ".stats.txt", "w") as f:
         f.write("\n".join(stats_lines) + "\n")
     print("\n".join(stats_lines))

@@ -313,11 +313,16 @@ def build_sampling_plan(rates: np.ndarray, h: int, w: int) -> SamplingPlan:
     return SamplingPlan(h, w, r, S, D, tuple(taps))
 
 
-def _sample(x3: np.ndarray, plan: SamplingPlan):
-    """Bilinear reads of every tap and channel: returns the (H*W, C)
-    transposed input and the C-contiguous (C, 9, H*W) tap columns."""
-    c = x3.shape[0]
-    n = plan.height * plan.width
+def _sample(x3: np.ndarray, rates, plan):
+    """Bilinear reads of every tap and channel through `plan`, built from
+    rates when None: returns the adaptive cache (plan, (H*W, C) transposed
+    input, C-contiguous (C, 9, H*W) tap columns)."""
+    c, h, w = x3.shape
+    if plan is None:
+        plan = build_sampling_plan(rates, h, w)
+    elif (plan.height, plan.width) != (h, w):
+        raise ValueError("sampling plan dims do not match input")
+    n = h * w
     xt = np.ascontiguousarray(x3.reshape(c, n).T)
     # Channel-major columns feed the same contraction as the integer convs,
     # which keeps rate 1 bit-identical to classic. Each tap block's (N, C)
@@ -328,7 +333,7 @@ def _sample(x3: np.ndarray, plan: SamplingPlan):
     sampled = np.empty((c, 9, n), dtype=np.result_type(plan.S.dtype, xt.dtype))
     for t, s_t in enumerate(plan.taps):
         sampled[:, t] = (s_t @ xt).T
-    return xt, sampled
+    return plan, xt, sampled
 
 
 def asc_conv_forward(x, layer, rates, plan=None, return_cache=False):
@@ -340,15 +345,10 @@ def asc_conv_forward(x, layer, rates, plan=None, return_cache=False):
     (plan, transposed input, tap columns).
     """
     x3 = _check_input(x, layer, ADAPTIVE)
-    h, w = x3.shape[1:]
-    if plan is None:
-        plan = build_sampling_plan(rates, h, w)
-    elif (plan.height, plan.width) != (h, w):
-        raise ValueError("sampling plan dims do not match input")
-    xt, sampled = _sample(x3, plan)
-    y = _contract(sampled, layer).reshape(1, -1, h, w)
+    cache = _sample(x3, rates, plan)
+    y = _contract(cache[2], layer).reshape(1, -1, *x3.shape[1:])
     if return_cache:
-        return y, (plan, xt, sampled)
+        return y, cache
     return y
 
 
@@ -357,11 +357,7 @@ def asc_conv_backward(x, layer, rates, grad_y, cache=None):
     the rate field. Returns (grad_x, grad_w, grad_bias, grad_rates)."""
     x3 = _check_input(x, layer, ADAPTIVE, grad_y)
     c, h, w = x3.shape
-    if cache is None:
-        plan = build_sampling_plan(rates, h, w)
-        xt, sampled = _sample(x3, plan)
-    else:
-        plan, xt, sampled = cache
+    plan, xt, sampled = _sample(x3, rates, None) if cache is None else cache
 
     n = h * w
     g = grad_y.reshape(layer.out_channels, n)

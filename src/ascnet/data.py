@@ -11,8 +11,10 @@ what makes the scale-adaptive operators measurably better on this corpus.
 from __future__ import annotations
 
 import csv
+import numbers
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -45,6 +47,22 @@ class SynthConfig:
     max_place_tries: int = 200
 
     def __post_init__(self):
+        # Each field takes the kind of number its default holds; a tuple
+        # default marks a pair.
+        for f in fields(self):
+            value, default = getattr(self, f.name), f.default
+            pair = isinstance(default, tuple)
+            integral = isinstance(default[0] if pair else default, int)
+            if pair:
+                ok = (isinstance(value, (tuple, list)) and len(value) == 2
+                      and all(_is_number(v, integral) for v in value))
+            else:
+                ok = _is_number(value, integral)
+            if not ok:
+                kind = "integer" if integral else "number"
+                raise TypeError(f"{f.name}: {value!r} is not supported, "
+                                f"expected {'a pair of ' * pair}{kind}"
+                                f"{'s' * pair}")
         if self.height < 32 or self.width < 32:
             raise ValueError("image dims must be >= 32")
         limit = min(self.height, self.width) / 2 - 1  # room for r + 1 each side
@@ -57,6 +75,12 @@ class SynthConfig:
                                  f"width) / 2 - 1 = {limit}: no disk fits")
         if self.small_radius[1] >= self.large_radius[0]:
             raise ValueError("small and large radius ranges must be disjoint")
+
+
+def _is_number(value, integral: bool) -> bool:
+    """An int, or with integral=False any real number; never a bool."""
+    kind = numbers.Integral if integral else numbers.Real
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def preprocess(raw: np.ndarray) -> np.ndarray:
@@ -184,9 +208,9 @@ def read_pgm(path) -> np.ndarray:
         data = f.read()
     if not data.startswith(b"P5"):
         raise ValueError(f"{path}: not a binary PGM (P5) file")
-    # Header tokens (magic, width, height, maxval) separated by whitespace,
-    # with '#' comments running to end of line; one whitespace byte ends
-    # the header.
+    # Header tokens (magic, width, height, maxval) separated by whitespace
+    # and '#' comments, which run to end of line and may follow a token
+    # directly; one whitespace byte ends the header.
     tokens = []
     pos = 2
     while len(tokens) < 3:
@@ -198,7 +222,7 @@ def read_pgm(path) -> np.ndarray:
                 break
             continue
         start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
+        while pos < len(data) and data[pos] not in b" \t\n\r\x0b\x0c#":
             pos += 1
         if pos == len(data):
             break
@@ -213,6 +237,9 @@ def read_pgm(path) -> np.ndarray:
         raise ValueError(f"{path}: PGM dims {w}x{h} must be at least 1x1")
     if not 1 <= maxval <= 65535:
         raise ValueError(f"{path}: PGM maxval {maxval} is outside [1, 65535]")
+    if data[pos] == ord("#"):
+        raise ValueError(f"{path}: PGM maxval must be followed by one "
+                         "whitespace byte, not a comment")
     pos += 1
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     n = h * w
@@ -259,9 +286,13 @@ def load_rate_field_csv(path) -> np.ndarray:
     return vals.reshape(1, 1, *vals.shape)
 
 
-def rate_stats(rates, labels, meta, small_cutoff: float = 7.0) -> dict:
+SMALL_OBJECT_RADIUS = 7.0
+
+
+def rate_stats(rates, labels, meta) -> dict:
     """Mean learned rate over small-object, large-object and background
-    pixels. Objects are split by their annotated radius at `small_cutoff`."""
+    pixels. Objects are split by their annotated radius at
+    `SMALL_OBJECT_RADIUS`."""
     h, w = rates.shape[-2], rates.shape[-1]
     vals = np.asarray(rates).reshape(h, w)
     lab = np.asarray(labels).reshape(h, w)
@@ -270,7 +301,7 @@ def rate_stats(rates, labels, meta, small_cutoff: float = 7.0) -> dict:
     large = np.zeros((h, w), dtype=bool)
     for cy, cx, radius in meta:
         mask = (np.hypot(yy - cy, xx - cx) <= radius) & (lab > 0)
-        if radius <= small_cutoff:
+        if radius <= SMALL_OBJECT_RADIUS:
             small |= mask
         else:
             large |= mask
@@ -291,8 +322,6 @@ def rate_stats(rates, labels, meta, small_cutoff: float = 7.0) -> dict:
 
 def write_samples(samples, directory) -> None:
     """Write img_XXXX.pgm (16-bit), lbl_XXXX.pgm (8-bit) pairs and meta.csv."""
-    from pathlib import Path
-
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     with open(directory / "meta.csv", "w", newline="") as f:
@@ -309,10 +338,39 @@ def write_samples(samples, directory) -> None:
                 writer.writerow([i, _fmt(cy), _fmt(cx), _fmt(radius)])
 
 
+def label_path(img_path):
+    """The label file of corpus image img_<rest> (lbl_<rest>), or None for
+    a name outside the corpus rule."""
+    img_path = Path(img_path)
+    if not img_path.name.startswith("img_"):
+        return None
+    return img_path.with_name("lbl_" + img_path.name[len("img_"):])
+
+
+def read_image(path):
+    """Decode a PGM image: returns the preprocessed (1,1,H,W) float32
+    image and the (H,W) raw intensities in [0, 1]."""
+    img = read_pgm(path)
+    raw = img.astype(np.float32) / np.iinfo(img.dtype).max
+    try:
+        image = preprocess(raw)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return image.reshape(1, 1, *raw.shape), raw
+
+
+def read_label(path, dims):
+    """Read a label PGM as int64 classes, checking it has the image's
+    (H, W) `dims`."""
+    lbl = read_pgm(path)
+    if lbl.shape != dims:
+        raise ValueError(f"{path}: label dims {lbl.shape} do not match "
+                         f"image dims {dims}")
+    return lbl.astype(np.int64)
+
+
 def image_index(path) -> int:
     """The sample index in a corpus image name, img_<digits>.pgm."""
-    from pathlib import Path
-
     m = re.fullmatch(r"img_([0-9]+)\.pgm", Path(path).name)
     if m is None:
         raise ValueError(f"{path}: corpus image names must be img_<digits>.pgm")
@@ -341,8 +399,6 @@ def read_meta(path) -> dict:
 def load_image_dir(path) -> list:
     """Load img_*.pgm / lbl_*.pgm pairs (plus meta.csv when present) as
     preprocessed samples. Errors name the offending file."""
-    from pathlib import Path
-
     path = Path(path)
     imgs = sorted(path.glob("img_*.pgm"))
     if not imgs:
@@ -353,22 +409,14 @@ def load_image_dir(path) -> list:
     samples = []
     for img_path in imgs:
         idx = image_index(img_path)
-        lbl_path = img_path.with_name("lbl_" + img_path.name[len("img_"):])
+        lbl_path = label_path(img_path)
         if not lbl_path.exists():
             raise ValueError(f"{img_path}: missing label file {lbl_path.name}")
-        img = read_pgm(img_path)
-        lbl = read_pgm(lbl_path)
-        if img.shape != lbl.shape:
-            raise ValueError(
-                f"{lbl_path}: label dims {lbl.shape} do not match image "
-                f"dims {img.shape}"
-            )
-        h, w = img.shape
-        maxval = 65535 if img.dtype.itemsize == 2 else 255
-        raw = img.astype(np.float32) / maxval
+        image, raw = read_image(img_path)
+        lbl = read_label(lbl_path, raw.shape)
         samples.append(SegmentationSample(
-            preprocess(raw).reshape(1, 1, h, w),
-            lbl.astype(np.int64).reshape(1, h, w),
+            image,
+            lbl.reshape(1, *lbl.shape),
             meta_by_index.get(idx, []),
             raw,
         ))

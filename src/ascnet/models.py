@@ -27,7 +27,6 @@ ASCNET7 = "ascnet7"
 ASCNET14 = "ascnet14"
 
 VARIANTS = (CLASSIC7, DILATED7, ASCNET7, ASCNET14)
-VARIANT_IDS = {v: i for i, v in enumerate(VARIANTS)}
 
 DILATED_RATES = (1, 1, 2, 4, 8, 16, 1)
 RATE_NET_CHANNELS = (8, 4, 1)
@@ -195,7 +194,7 @@ def model_forward(model: Model, image, return_cache=False):
 
     logits, cache = _stack_forward(model.layers, image, plan, False, return_cache)
     if return_cache:
-        cache.update(image=image, rates=rates, plan=plan, ratenet=ratenet_cache)
+        cache.update(rates=rates, plan=plan, ratenet=ratenet_cache)
         return logits, rates, cache
     return logits, rates
 
@@ -235,7 +234,7 @@ def save_checkpoint(model: Model, path) -> None:
     spec = model.spec
     tensors = {
         "spec": np.array(
-            [VARIANT_IDS[spec.variant], spec.num_classes, spec.height,
+            [VARIANTS.index(spec.variant), spec.num_classes, spec.height,
              spec.width], dtype=np.float32,
         )
     }

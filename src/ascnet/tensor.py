@@ -23,6 +23,11 @@ CONTAINER_VERSION = 1
 _DTYPE_CODE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
+# Adam's moment decay rates and denominator guard.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 def make_rng(seed: int) -> np.random.Generator:
     """Deterministic generator (PCG64) for the given 64-bit seed."""
@@ -82,8 +87,8 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     return loss, grad.reshape(1, c, h, w)
 
 
-def adam_step(param, grad, m, v, t, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One Adam update with bias correction.
+def adam_step(param, grad, m, v, t, lr=1e-3):
+    """One Adam update with bias correction (`BETA1`, `BETA2`, `EPS`).
 
     Returns new (param, m, v); inputs are not mutated. t is 1-based.
     """
@@ -94,23 +99,20 @@ def adam_step(param, grad, m, v, t, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         )
     if t < 1:
         raise ValueError("step index t must be >= 1")
-    m = beta1 * m + (1.0 - beta1) * grad
-    v = beta2 * v + (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1 ** t)
-    v_hat = v / (1.0 - beta2 ** t)
-    param = param - lr * m_hat / (np.sqrt(v_hat) + eps)
+    m = BETA1 * m + (1.0 - BETA1) * grad
+    v = BETA2 * v + (1.0 - BETA2) * grad * grad
+    m_hat = m / (1.0 - BETA1 ** t)
+    v_hat = v / (1.0 - BETA2 ** t)
+    param = param - lr * m_hat / (np.sqrt(v_hat) + EPS)
     return param, m, v
 
 
 class Adam:
     """Adam over a dict of named parameter arrays, updated in place."""
 
-    def __init__(self, params: dict, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: dict, lr=1e-3):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p) for k, p in params.items()}
         self.v = {k: np.zeros_like(p) for k, p in params.items()}
@@ -119,9 +121,7 @@ class Adam:
         self.t += 1
         for name, p in self.params.items():
             new_p, self.m[name], self.v[name] = adam_step(
-                p, grads[name], self.m[name], self.v[name], self.t,
-                self.lr, self.beta1, self.beta2, self.eps,
-            )
+                p, grads[name], self.m[name], self.v[name], self.t, self.lr)
             p[...] = new_p
 
 
@@ -136,7 +136,9 @@ def save_tensors(path, tensors: dict) -> None:
         f.write(MAGIC)
         f.write(struct.pack("<HI", CONTAINER_VERSION, len(tensors)))
         for name, arr in tensors.items():
-            arr = np.ascontiguousarray(arr)
+            # Not ascontiguousarray, which makes a 0-d array 1-d; tobytes
+            # below writes row-major order anyway.
+            arr = np.asarray(arr)
             if arr.dtype not in _DTYPE_CODE:
                 raise ValueError(f"unsupported dtype {arr.dtype} for '{name}'")
             code = _DTYPE_CODE[arr.dtype]

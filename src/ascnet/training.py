@@ -21,9 +21,6 @@ class TrainingDiverged(RuntimeError):
 class TrainConfig:
     iterations: int = 2000
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     deterministic: bool = False
     log_every: int = 100
@@ -38,7 +35,6 @@ class TrainConfig:
 @dataclass
 class TrainReport:
     records: list = field(default_factory=list)  # (iteration, loss, seconds)
-    final_metrics: dict = field(default_factory=dict)
 
     def to_csv(self, path) -> None:
         with open(path, "w") as f:
@@ -68,7 +64,7 @@ def train(model, samples, cfg: TrainConfig):
     _check_dims(model, samples)
 
     params = models.param_dict(model)
-    opt = tensor.Adam(params, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+    opt = tensor.Adam(params, cfg.lr)
     shuffle_rng = tensor.make_rng(cfg.seed)
     order = shuffle_rng.permutation(len(samples))
     report = TrainReport()
@@ -103,6 +99,11 @@ class EvalResult:
     dice: float              # mean over foreground classes
     precision: float
     recall: float
+
+    def summary(self) -> str:
+        """The foreground means as three `key=value` lines."""
+        return (f"dice={self.dice:.4f}\nprecision={self.precision:.4f}\n"
+                f"recall={self.recall:.4f}")
 
 
 def evaluate(model, samples, pooled: bool = False) -> EvalResult:
@@ -181,18 +182,21 @@ def max_rel_err(analytic, numeric) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-def offkink_rates(rng, shape, lo=0.3, hi=2.3, margin=1e-3):
-    """Rates uniform in [lo, hi], nudged away from integer values so the
+# Finite differences are not trusted this close to a tent-kernel kink.
+KINK_MARGIN = 1e-3
+
+
+def offkink_rates(rng, shape):
+    """Rates uniform in [0.3, 2.3], nudged away from integer values so the
     bilinear tent kernel is differentiable at every sample offset."""
-    r = rng.uniform(lo, hi, size=shape)
-    near = np.abs(r - np.round(r)) < margin
-    r = np.where(near, r + 2 * margin, r)
-    return r
+    r = rng.uniform(0.3, 2.3, size=shape)
+    near = np.abs(r - np.round(r)) < KINK_MARGIN
+    return np.where(near, r + 2 * KINK_MARGIN, r)
 
 
-def is_kink_rates(rates, margin=1e-3) -> bool:
+def is_kink_rates(rates) -> bool:
     r = np.asarray(rates)
-    return bool(np.any(np.abs(r - np.round(r)) < margin))
+    return bool(np.any(np.abs(r - np.round(r)) < KINK_MARGIN))
 
 
 def _compare(loss, groups, h, tol):
@@ -212,8 +216,8 @@ def _compare(loss, groups, h, tol):
 def _check_conv(kind, seed, h, tol, rates=None):
     """One layer through `conv_forward`/`conv_backward`, as training runs
     it; the loss rebuilds the sampling plan, so it sees rate changes. The
-    rate group is SKIPped when a rate sits within 1e-3 of an integer, a
-    tent-kernel kink that central differences would straddle."""
+    rate group is SKIPped when a rate sits within `KINK_MARGIN` of an
+    integer."""
     rng = tensor.make_rng(seed)
     x = rng.standard_normal((1, 2, 6, 6))
     # Only a dilated layer reads the rate.
@@ -241,8 +245,7 @@ def _check_net(target, seed, h, tol):
     model = models.build_reduced_asc_model(2, seed=seed)
     # A random rate network exercises the rate path away from the all-ones
     # init, whose integer rates sit on tent-kernel kinks. It is redrawn while
-    # a ReLU input or a positive rate lies within 1e-3 of a kink, which
-    # central differences would straddle.
+    # a ReLU input or a positive rate lies within `KINK_MARGIN` of a kink.
     while True:
         for layer in model.ratenet.layers:
             layer.weights[...] = tensor.he_init(rng, layer.weights.shape, np.float64)
@@ -251,7 +254,7 @@ def _check_net(target, seed, h, tol):
         image = rng.standard_normal((1, 1, 8, 8))
         logits, rates, cache = models.model_forward(model, image, return_cache=True)
         relu_inputs = cache["preacts"][:-1] + cache["ratenet"]["preacts"]
-        if (min(np.abs(z).min() for z in relu_inputs) >= 1e-3
+        if (min(np.abs(z).min() for z in relu_inputs) >= KINK_MARGIN
                 and not is_kink_rates(rates[rates > 0])):
             break
 

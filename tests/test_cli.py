@@ -87,6 +87,25 @@ class TestSynth:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("text, field", [
+        ('{"num_train": 2.5}', "num_train"),
+        ('{"height": 64.5}', "height"),
+        ('{"seed": "x"}', "seed"),
+        ('{"seed": true}', "seed"),
+        ('{"small_radius": 3}', "small_radius"),
+    ])
+    def test_config_field_type_names_file_and_field(self, tmp_path, capsys,
+                                                    text, field):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["synth", "--out", str(out), "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg_path}: {field}: " in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestTrainEval:
     def test_single_iteration_writes_outputs(self, corpus_dir, tmp_path):
         ckpt = tmp_path / "m.asct"
@@ -152,6 +171,20 @@ class TestTrainEval:
         out = capsys.readouterr().out
         assert out.startswith("dice=0.")
         assert "precision=0." in out and "recall=0." in out
+
+    def test_train_metrics_file_equals_eval_stdout(self, corpus_dir, tmp_path,
+                                                   capsys):
+        ckpt, report = tmp_path / "m.asct", tmp_path / "rep.csv"
+        assert main(["train", "--model", "ascnet7", "--data", str(corpus_dir),
+                     "--iters", "3", "--out", str(ckpt),
+                     "--report", str(report)]) == 0
+        train_out = capsys.readouterr().out
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(corpus_dir)]) == 0
+        eval_out = capsys.readouterr().out
+        metrics = (tmp_path / "rep.csv.metrics.txt").read_text()
+        assert metrics == eval_out == train_out
+        assert [line.split("=")[0] for line in metrics.splitlines()] == [
+            "dice", "precision", "recall"]
 
     def test_eval_dim_mismatch(self, trained_ckpt, tmp_path):
         other = tmp_path / "other"
@@ -238,6 +271,24 @@ class TestCorpusErrors:
         assert f"{meta}:3" in capsys.readouterr().err
 
 
+    def test_mis_sized_label(self, corpus_copy, tmp_path, capsys):
+        lbl = corpus_copy / "test" / "lbl_0000.pgm"
+        data.write_pgm(lbl, np.zeros((16, 16), dtype=np.uint8), maxval=255)
+        assert self._eval(tmp_path, corpus_copy) == 2
+        assert f"{lbl}: label dims" in capsys.readouterr().err
+        assert self._ratefield(tmp_path, corpus_copy / "test" / "img_0000.pgm") == 2
+        assert f"{lbl}: label dims" in capsys.readouterr().err
+        assert not list(tmp_path.glob("rf.*"))
+
+    def test_constant_image(self, corpus_copy, tmp_path, capsys):
+        img = corpus_copy / "test" / "img_0000.pgm"
+        data.write_pgm(img, np.full((32, 32), 7), maxval=65535)
+        assert self._eval(tmp_path, corpus_copy) == 2
+        assert f"{img}: cannot normalize a constant image" in capsys.readouterr().err
+        assert self._ratefield(tmp_path, img) == 2
+        assert f"{img}: cannot normalize" in capsys.readouterr().err
+
+
 class TestGradcheckCmd:
     @pytest.mark.parametrize("target", ["classic", "asc"])
     def test_pass_targets(self, target, capsys):
@@ -264,6 +315,11 @@ class TestBench:
     def test_bad_seeds_rejected(self, corpus_dir):
         assert main(["bench", "--data", str(corpus_dir), "--seeds", "x,y"]) == 1
 
+    def test_empty_seed_list_is_usage_error(self, corpus_dir, capsys):
+        assert main(["bench", "--data", str(corpus_dir), "--seeds", ","]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ascnet bench") and "--seeds" in err
+
 
 class TestRateField:
     def test_fresh_checkpoint_exports_ones(self, corpus_dir, tmp_path, capsys):
@@ -285,6 +341,46 @@ class TestRateField:
                      "--out-prefix", str(prefix)]) == 0
         text = (tmp_path / "rf.stats.txt").read_text()
         assert "small=" in text and "large=" in text and "background=" in text
+
+    def test_stats_lines_are_plain_floats(self, trained_ckpt, corpus_dir,
+                                          tmp_path, capsys):
+        prefix = tmp_path / "rf"
+        img = corpus_dir / "train" / "img_0001.pgm"
+        assert main(["ratefield", "--ckpt", str(trained_ckpt), "--image", str(img),
+                     "--out-prefix", str(prefix)]) == 0
+        text = (tmp_path / "rf.stats.txt").read_text()
+        assert capsys.readouterr().out == text
+        keys = []
+        for line in text.splitlines():
+            key, value = line.split("=")
+            float(value)
+            keys.append(key)
+        assert keys == ["mean", "small", "large", "background"]
+
+    def test_image_without_label_writes_only_mean(self, corpus_dir, tmp_path):
+        ckpt = tmp_path / "fresh.asct"
+        save_checkpoint(build_model(ModelSpec("ascnet7", 2, 32, 32), 0), ckpt)
+        for name in ("img_0000.pgm", "scan.pgm"):
+            img = tmp_path / name
+            img.write_bytes((corpus_dir / "train" / "img_0000.pgm").read_bytes())
+            prefix = tmp_path / f"rf_{name}"
+            assert main(["ratefield", "--ckpt", str(ckpt), "--image", str(img),
+                         "--out-prefix", str(prefix)]) == 0
+            assert (tmp_path / f"rf_{name}.stats.txt").read_text() == "mean=1.0\n"
+
+    def test_diverged_checkpoint_exits_2_writes_nothing(self, corpus_dir,
+                                                        tmp_path, capsys):
+        model = build_model(ModelSpec("ascnet7", 2, 32, 32), 0)
+        model.ratenet.layers[0].weights[...] = np.inf
+        ckpt = tmp_path / "inf.asct"
+        save_checkpoint(model, ckpt)
+        img = corpus_dir / "train" / "img_0000.pgm"
+        with np.errstate(invalid="ignore"):
+            rc = main(["ratefield", "--ckpt", str(ckpt), "--image", str(img),
+                       "--out-prefix", str(tmp_path / "rf")])
+        assert rc == 2
+        assert "rate field contains non-finite values" in capsys.readouterr().err
+        assert not list(tmp_path.glob("rf.*"))
 
     def test_classic_checkpoint_rejected(self, corpus_dir, tmp_path, capsys):
         ckpt = tmp_path / "c.asct"

@@ -1,5 +1,8 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ascnet import data
 from ascnet.data import (
@@ -93,6 +96,26 @@ class TestGenerateSynth:
                         large_radius=(16.0, 17.0))
         SynthConfig(height=32, width=32, large_radius=(10.0, 15.0))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("num_train", 2.5, "expected integer"),
+        ("height", 64.5, "expected integer"),
+        ("seed", "x", "expected integer"),
+        ("seed", True, "expected integer"),
+        ("noise_sigma", "0.1", "expected number"),
+        ("small_radius", 3, "expected a pair of numbers"),
+        ("small_radius", (1.0, 2.0, 3.0), "expected a pair of numbers"),
+        ("small_per_image", (1.5, 2), "expected a pair of integers"),
+        ("large_per_image", [1, False], "expected a pair of integers"),
+    ])
+    def test_field_types_checked(self, field, value, message):
+        with pytest.raises(TypeError, match=f"^{field}: .*{message}"):
+            SynthConfig(**{field: value})
+
+    def test_numpy_and_list_values_accepted(self):
+        cfg = SynthConfig(num_train=np.int64(2), noise_sigma=np.float32(0.1),
+                          small_radius=[2, 4.0], large_per_image=[1, 2])
+        assert cfg.num_train == 2
+
     def test_infeasible_placement_errors(self):
         with pytest.raises(RuntimeError, match="place"):
             generate_synth(small_cfg(large_per_image=(8, 8), max_place_tries=5))
@@ -166,6 +189,12 @@ class TestPgm:
         path = tmp_path / "x.pgm"
         path.write_bytes(b"P2\n1 1\n255\n0")
         with pytest.raises(ValueError, match="P5"):
+            read_pgm(path)
+
+    def test_comment_after_maxval_rejected(self, tmp_path):
+        path = tmp_path / "x.pgm"
+        path.write_bytes(b"P5\n1 1\n255#c\n\x00")
+        with pytest.raises(ValueError, match="maxval must be followed"):
             read_pgm(path)
 
     def test_truncated_payload(self, tmp_path):
@@ -286,3 +315,31 @@ class TestCorpusIO:
         s8 = load_image_dir(d8)[0]
         s16 = load_image_dir(d16)[0]
         assert np.abs(s8.image - s16.image).max() < 1e-2
+
+
+_WHITESPACE = st.binary(min_size=1, max_size=4).map(
+    lambda b: bytes(b" \t\n\r\x0b\x0c"[v % 6] for v in b))
+_COMMENT = st.binary(max_size=12).map(
+    lambda b: b"#" + b.replace(b"\n", b"") + b"\n")
+# Between two header tokens: whitespace runs and comments, at least one.
+_SEPARATOR = st.lists(st.one_of(_WHITESPACE, _COMMENT), min_size=1,
+                      max_size=4).map(b"".join)
+
+
+class TestPgmProperties:
+    @given(data=st.data(), maxval=st.integers(1, 65535),
+           h=st.integers(1, 4), w=st.integers(1, 4))
+    def test_any_valid_header_returns_payload(self, tmp_path_factory, data,
+                                              maxval, h, w):
+        dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
+        values = data.draw(hnp.arrays(dtype, (h, w),
+                                      elements=st.integers(0, maxval)))
+        seps = [data.draw(_SEPARATOR) for _ in range(3)]
+        last = data.draw(_WHITESPACE.map(lambda b: b[:1]))
+        header = b"P5" + b"".join(sep + str(v).encode()
+                                  for sep, v in zip(seps, (w, h, maxval)))
+        path = tmp_path_factory.mktemp("pgm") / "x.pgm"
+        path.write_bytes(header + last + values.tobytes())
+        out = read_pgm(path)
+        assert out.shape == (h, w) and out.dtype.itemsize == dtype.itemsize
+        assert np.array_equal(out, values)

@@ -1,7 +1,11 @@
 import math
+import re
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ascnet import tensor
 
@@ -214,3 +218,40 @@ class TestContainer:
         err = capsys.readouterr().err
         assert "short.asct: truncated header at offset 4" in err
         assert "Traceback" not in err
+
+
+# Any UTF-8 names; f32 or f64 arrays of 0-4 dims of size 0-5 each. Values
+# may be NaN, +-inf or -0.0; `_SPECIAL` holds all of them.
+_TENSORS = st.dictionaries(
+    st.text(max_size=12),
+    hnp.arrays(st.sampled_from([np.float32, np.float64]),
+               hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=5),
+               elements={"allow_nan": True, "allow_infinity": True}),
+    max_size=4,
+)
+_SPECIAL = {"special": np.array([np.nan, np.inf, -np.inf, -0.0], np.float32),
+            "nan·0d": np.array(np.nan)}
+
+
+class TestContainerProperties:
+    @given(tensors=_TENSORS)
+    @example(tensors=_SPECIAL)
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, tensors):
+        # Compared by bytes, so NaN payloads and -0.0 count too.
+        path = tmp_path_factory.mktemp("asct") / "t.asct"
+        tensor.save_tensors(path, tensors)
+        loaded = tensor.load_tensors(path)
+        assert list(loaded) == list(tensors)
+        for name, arr in tensors.items():
+            assert loaded[name].dtype == arr.dtype
+            assert loaded[name].shape == arr.shape
+            assert loaded[name].tobytes() == arr.tobytes()
+
+    @given(tensors=_TENSORS, data=st.data())
+    def test_any_cut_names_the_file(self, tmp_path_factory, tensors, data):
+        path = tmp_path_factory.mktemp("asct") / "cut.asct"
+        tensor.save_tensors(path, tensors)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            tensor.load_tensors(path)

@@ -172,6 +172,15 @@ class TestGradCheck:
         assert by_group["weights"].status == "PASS"
         assert report.passed
 
+    def test_rates_within_kink_margin_skip_rate_group(self):
+        rates = np.full((1, 1, 6, 6), 1.5)
+        rates[0, 0, 2, 3] = 1.0 + training.KINK_MARGIN / 2
+        by_group = {e.group: e for e in grad_check("asc", asc_rates=rates).entries}
+        assert by_group["rates"].status == "SKIP"
+        rates[0, 0, 2, 3] = 1.0 + 2 * training.KINK_MARGIN
+        by_group = {e.group: e for e in grad_check("asc", asc_rates=rates).entries}
+        assert by_group["rates"].status == "PASS"
+
     def test_unknown_target(self):
         with pytest.raises(ValueError, match="target"):
             grad_check("transformer")
