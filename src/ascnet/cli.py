@@ -42,6 +42,7 @@ def _seed_list(value):
 
 def _build_parser():
     parser = _Parser(prog="ascnet", description=__doc__)
+    defaults = training.TrainConfig()
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
@@ -52,13 +53,13 @@ def _build_parser():
     p = sub.add_parser("train", help="train a model")
     p.add_argument("--model", required=True, choices=models.VARIANTS)
     p.add_argument("--data", required=True)
-    p.add_argument("--iters", type=_positive_int, default=2000)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--iters", type=_positive_int, default=defaults.iterations)
+    p.add_argument("--lr", type=float, default=defaults.lr)
+    p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--deterministic", action="store_true")
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--report", help="training report CSV path")
-    p.add_argument("--log-every", type=_positive_int, default=100)
+    p.add_argument("--log-every", type=_positive_int, default=defaults.log_every)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--ckpt", required=True)
@@ -73,9 +74,9 @@ def _build_parser():
 
     p = sub.add_parser("bench", help="train and compare the three 7-layer models")
     p.add_argument("--data", required=True)
-    p.add_argument("--iters", type=_positive_int, default=2000)
+    p.add_argument("--iters", type=_positive_int, default=defaults.iterations)
     p.add_argument("--seeds", type=_seed_list, default="1,2,3")
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--lr", type=float, default=defaults.lr)
 
     p = sub.add_parser("ratefield", help="export the learned rate field")
     p.add_argument("--ckpt", required=True)
@@ -108,7 +109,7 @@ def _cmd_synth(args):
         # An unknown field or a value of the wrong type is a TypeError.
         cfg = data.SynthConfig(**cfg_kwargs)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{args.config}: {exc}") from None
+        raise ValueError(f"{args.config or '--seed'}: {exc}") from None
     train_set, test_set = data.generate_synth(cfg)
     out = Path(args.out)
     data.write_samples(train_set, out / "train")
@@ -169,8 +170,12 @@ def _cmd_gradcheck(args):
 
 
 def _cmd_bench(args):
-    train_set = _load_split(args.data, "train")
-    test_set = _load_split(args.data, "test")
+    train_dir, test_dir = _split_dir(args.data, "train"), _split_dir(args.data, "test")
+    if train_dir == test_dir:
+        raise ValueError(f"{args.data}: bench needs train/ and test/ splits; "
+                         "without them it would score its training images")
+    train_set = data.load_image_dir(train_dir)
+    test_set = data.load_image_dir(test_dir)
     print("note: synthetic desk-scale benchmark; absolute metric values are "
           "not comparable to full-scale published results", file=sys.stderr)
 

@@ -19,10 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# 3x3 kernel tap offsets (dy, dx), row-major over the kernel window.
-TAP_OFFSETS = tuple(
-    (dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)
-)
+# The 3x3 window's offsets along one axis, and its nine tap offsets
+# (dy, dx), row-major over the kernel window.
+AXIS_OFFSETS = (-1, 0, 1)
+TAP_OFFSETS = tuple((dy, dx) for dy in AXIS_OFFSETS for dx in AXIS_OFFSETS)
+_CENTER = TAP_OFFSETS.index((0, 0))
 
 CLASSIC = "classic"
 DILATED = "dilated"
@@ -128,34 +129,36 @@ def _param_grads(cols: np.ndarray, layer: ConvLayer, g: np.ndarray):
     return grad_w.reshape(layer.weights.shape), g.sum(axis=1)
 
 
-def _integer_cols(x3: np.ndarray, rate: int) -> np.ndarray:
-    """Gather the 9 dilated taps of every pixel into (C, 9, H*W) columns.
+def _tap_windows(c: int, h: int, w: int, rate: int, dtype) -> list:
+    """The nine (C, H, W) windows, in TAP_OFFSETS order, of a zeroed
+    (C, H+2*rate, W+2*rate) array: window t is shifted by rate times tap t's
+    offset, so window `_CENTER` is the unpadded image."""
+    padded = np.zeros((c, h + 2 * rate, w + 2 * rate), dtype=dtype)
+    return [padded[:, rate * (1 + dy):rate * (1 + dy) + h,
+                   rate * (1 + dx):rate * (1 + dx) + w]
+            for dy, dx in TAP_OFFSETS]
 
-    Zero padding of `rate` keeps spatial dims; equivalent to im2col for a
-    3x3 kernel with integer dilation.
-    """
+
+def _integer_cols(x3: np.ndarray, rate: int) -> np.ndarray:
+    """Gather the 9 dilated taps of every pixel into (C, 9, H*W) columns:
+    im2col for a 3x3 kernel with integer dilation, zero-padded by `rate`."""
     c, h, w = x3.shape
-    pad = rate
-    xp = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=x3.dtype)
-    xp[:, pad:pad + h, pad:pad + w] = x3
-    cols = np.empty((c, 9, h * w), dtype=x3.dtype)
-    for t, (dy, dx) in enumerate(TAP_OFFSETS):
-        oy = pad + rate * dy
-        ox = pad + rate * dx
-        cols[:, t, :] = xp[:, oy:oy + h, ox:ox + w].reshape(c, -1)
-    return cols
+    windows = _tap_windows(c, h, w, rate, x3.dtype)
+    windows[_CENTER][...] = x3
+    cols = np.empty((c, 9, h, w), dtype=x3.dtype)
+    for t, window in enumerate(windows):
+        cols[:, t] = window
+    return cols.reshape(c, 9, h * w)
 
 
 def _cols_to_image(grad_cols: np.ndarray, rate: int, h: int, w: int):
     """Adjoint of `_integer_cols`: scatter tap columns back onto the image."""
     c = grad_cols.shape[0]
-    pad = rate
-    gp = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=grad_cols.dtype)
-    for t, (dy, dx) in enumerate(TAP_OFFSETS):
-        oy = pad + rate * dy
-        ox = pad + rate * dx
-        gp[:, oy:oy + h, ox:ox + w] += grad_cols[:, t, :].reshape(c, h, w)
-    return gp[:, pad:pad + h, pad:pad + w].reshape(1, c, h, w)
+    windows = _tap_windows(c, h, w, rate, grad_cols.dtype)
+    grad_cols = grad_cols.reshape(c, 9, h, w)
+    for t, window in enumerate(windows):
+        window += grad_cols[:, t]
+    return windows[_CENTER].reshape(1, c, h, w)
 
 
 # Integer taps are read by slicing a padded copy: a sampling operator
@@ -264,15 +267,14 @@ def build_sampling_plan(rates: np.ndarray, h: int, w: int) -> SamplingPlan:
     dtype = r.dtype
     n = h * w
     index_dtype = np.int32 if 36 * n <= np.iinfo(np.int32).max else np.int64
-    offsets = np.array(TAP_OFFSETS, dtype=dtype)           # (9, 2)
+    dp_dr = np.array(AXIS_OFFSETS, dtype=dtype)[:, None]   # (3, 1)
     grid = np.divmod(np.arange(n), w)                      # (y, x) per pixel
-    # Per axis, for the floor corner and the one after it, as (9, N)
-    # arrays: the tent weight and its rate derivative (tent slope times
-    # dp/dr = tap offset), both zeroed off the image, and the clipped
-    # coordinate.
+    # Per axis, for the floor corner and the one after it, as (3, N)
+    # arrays over the axis offsets: the tent weight and its rate derivative
+    # (tent slope times dp/dr = axis offset), both zeroed off the image,
+    # and the clipped coordinate.
     axes = []
     for a, size in ((0, h), (1, w)):
-        dp_dr = offsets[:, a:a + 1]
         p = grid[a].astype(dtype) + r * dp_dr
         p0 = np.floor(p)
         f = p - p0
@@ -285,12 +287,14 @@ def build_sampling_plan(rates: np.ndarray, h: int, w: int) -> SamplingPlan:
         axes.append(sides)
 
     # Corner k = 2 * iy + ix, written straight into CSR row order
-    # (tap, pixel, corner).
-    weight = np.empty((9, n, 4), dtype=dtype)
-    dwdr = np.empty((9, n, 4), dtype=dtype)
-    idx = np.empty((9, n, 4), dtype=index_dtype)
-    for k, ((wy, dwy, qy), (wx, dwx, qx)) in enumerate(
+    # (tap, pixel, corner). Tap 3 * i + j pairs y offset i with x offset j,
+    # so the y arrays broadcast over the x offsets.
+    weight = np.empty((3, 3, n, 4), dtype=dtype)
+    dwdr = np.empty((3, 3, n, 4), dtype=dtype)
+    idx = np.empty((3, 3, n, 4), dtype=index_dtype)
+    for k, (ys, (wx, dwx, qx)) in enumerate(
             (ys, xs) for ys in axes[0] for xs in axes[1]):
+        wy, dwy, qy = (v[:, None] for v in ys)
         np.multiply(wy, wx, out=weight[..., k])
         np.add(dwy * wx, wy * dwx, out=dwdr[..., k])
         np.add(qy * w, qx, out=idx[..., k])
@@ -304,11 +308,9 @@ def build_sampling_plan(rates: np.ndarray, h: int, w: int) -> SamplingPlan:
     # after construction, because scipy's constructor copies an array that
     # is much smaller than the one it views.
     taps = []
-    for t in range(9):
-        rows = slice(t * 4 * n, (t + 1) * 4 * n)
+    for data, indices in zip(S.data.reshape(9, -1), S.indices.reshape(9, -1)):
         block = sparse.csr_array((n, n), dtype=dtype)
-        block.data, block.indices, block.indptr = (
-            S.data[rows], S.indices[rows], S.indptr[:n + 1])
+        block.data, block.indices, block.indptr = data, indices, S.indptr[:n + 1]
         taps.append(block)
     return SamplingPlan(h, w, r, S, D, tuple(taps))
 

@@ -63,13 +63,25 @@ class SynthConfig:
                 raise TypeError(f"{f.name}: {value!r} is not supported, "
                                 f"expected {'a pair of ' * pair}{kind}"
                                 f"{'s' * pair}")
+        for name, least in (("num_train", 0), ("num_test", 0), ("seed", 0),
+                            ("noise_sigma", 0), ("max_place_tries", 1)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name}: {value!r} must be >= {least}")
+        if self.outline_width <= 0:
+            raise ValueError(f"outline_width: {self.outline_width!r} must be > 0")
+        for name in ("small_per_image", "large_per_image"):
+            lo, hi = value = getattr(self, name)
+            if not 0 <= lo <= hi:
+                raise ValueError(f"{name}: {value!r} must be an ordered pair "
+                                 "of counts >= 0")
         if self.height < 32 or self.width < 32:
             raise ValueError("image dims must be >= 32")
         limit = min(self.height, self.width) / 2 - 1  # room for r + 1 each side
         for name in ("small_radius", "large_radius"):
-            lo, hi = getattr(self, name)
+            lo, hi = value = getattr(self, name)
             if lo <= 0 or hi < lo:
-                raise ValueError("radius ranges must be positive and ordered")
+                raise ValueError(f"{name}: {value!r} must be positive and ordered")
             if hi > limit:
                 raise ValueError(f"{name} upper end {hi} exceeds min(height, "
                                  f"width) / 2 - 1 = {limit}: no disk fits")

@@ -105,6 +105,30 @@ class TestSynth:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, field", [
+        ('{"seed": -1}', "seed"),
+        ('{"noise_sigma": -1}', "noise_sigma"),
+        ('{"small_per_image": [3, 1]}', "small_per_image"),
+        ('{"large_per_image": [-1, 1]}', "large_per_image"),
+        ('{"max_place_tries": 0}', "max_place_tries"),
+        ('{"num_train": -1, "num_test": 1}', "num_train"),
+        ('{"num_test": -2}', "num_test"),
+        ('{"outline_width": -1}', "outline_width"),
+        ('{"outline_width": 0}', "outline_width"),
+        ('{"small_radius": [4, 2]}', "small_radius"),
+    ])
+    def test_config_value_out_of_range_names_file_and_field(
+            self, tmp_path, capsys, text, field):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["synth", "--out", str(out), "--config", str(cfg_path)]) == 2
+        value = json.loads(text)[field]
+        err = capsys.readouterr().err
+        assert f"{cfg_path}: {field}: {value!r} " in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestTrainEval:
     def test_single_iteration_writes_outputs(self, corpus_dir, tmp_path):
@@ -311,6 +335,17 @@ class TestBench:
         body = rows[1:]
         names = {r.split("|")[1].strip() for r in body}
         assert names == {"classic7", "dilated7", "ascnet7"}
+
+    def test_data_without_splits_is_rejected(self, corpus_dir, tmp_path, capsys):
+        flat = tmp_path / "flat"
+        flat.mkdir()
+        for f in (corpus_dir / "train").glob("*.pgm"):
+            (flat / f.name).write_bytes(f.read_bytes())
+        assert main(["bench", "--data", str(flat), "--iters", "2",
+                     "--seeds", "1"]) == 2
+        captured = capsys.readouterr()
+        assert f"{flat}: " in captured.err and "splits" in captured.err
+        assert "| Model |" not in captured.out
 
     def test_bad_seeds_rejected(self, corpus_dir):
         assert main(["bench", "--data", str(corpus_dir), "--seeds", "x,y"]) == 1

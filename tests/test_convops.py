@@ -5,8 +5,11 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ascnet import convops
 from ascnet.convops import (
@@ -508,6 +511,85 @@ class TestTapBlocks:
                                   plan.S[t * n:(t + 1) * n].toarray())
 
 
+@st.composite
+def rate_field_cases(draw, rates, dtypes=(np.float64,)):
+    """A random (1, C, H, W) input of 1-8 px a side and 1-3 channels, an
+    adaptive layer with zero bias, and a (1, 1, H, W) field drawn from
+    `rates`, all of one of `dtypes`; inputs and weights come from a drawn
+    seed."""
+    h, w, c, out_c = (draw(st.integers(1, 8)), draw(st.integers(1, 8)),
+                      draw(st.integers(1, 3)), draw(st.integers(1, 2)))
+    dtype = draw(st.sampled_from(dtypes))
+    rng = RNG(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((1, c, h, w)).astype(dtype)
+    layer = ConvLayer(rng.standard_normal((out_c, c, 3, 3)).astype(dtype),
+                      np.zeros(out_c, dtype), convops.ADAPTIVE)
+    field = draw(hnp.arrays(np.float64, (1, 1, h, w), elements=rates))
+    return rng, x, layer, field.astype(dtype)
+
+
+# Zero, integer and fractional rates, and rates of 9 or more, which put
+# every tap but the centre off a map of at most 8 px.
+_ANY_RATES = st.one_of(st.just(0.0), st.integers(1, 11).map(float),
+                       st.floats(0.0, 12.0))
+
+
+class TestRandomRateFields:
+    """Properties of the adaptive operator over random small maps and rate
+    fields; float64 unless the property holds bit for bit."""
+
+    @settings(max_examples=40)
+    @given(case=rate_field_cases(_ANY_RATES))
+    def test_adjoint_identity(self, case):
+        rng, x, a, rates = case
+        y = asc_conv_forward(x, a, rates)
+        g = rng.standard_normal(y.shape)
+        gx, gw, _, _ = asc_conv_backward(x, a, rates, g)
+        lhs = float(np.vdot(y, g))
+        scale = float(np.abs(y * g).sum()) + 1e-300
+        assert abs(lhs - float(np.vdot(x, gx))) <= 1e-12 * scale
+        assert abs(lhs - float(np.vdot(a.weights, gw))) <= 1e-12 * scale
+
+    @settings(max_examples=25)
+    @given(case=rate_field_cases(_ANY_RATES))
+    def test_matches_oracle(self, case):
+        _, x, a, rates = case
+        assert np.allclose(asc_conv_forward(x, a, rates),
+                           oracle_asc_forward(x, a, rates), rtol=1e-10, atol=1e-10)
+
+    @settings(max_examples=150)
+    @given(case=rate_field_cases(st.integers(1, 11).map(float),
+                                 (np.float32, np.float64)))
+    def test_integer_rates_are_dilated_convs_bit_for_bit(self, case):
+        _, x, a, rates = case
+        y = asc_conv_forward(x, a, rates)
+        for k in np.unique(rates):
+            d = ConvLayer(a.weights, a.bias, convops.DILATED, rate=int(k))
+            at_k = rates[0, 0] == k
+            want = conv_dilated_forward(x, d)
+            assert y.dtype == want.dtype
+            assert y[0][:, at_k].tobytes() == want[0][:, at_k].tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_plan_build_peak_memory_stays_near_the_kept_arrays(self, dtype):
+        rates = RNG(50).uniform(0.0, 4.0, (1, 1, 64, 64)).astype(dtype)
+        convops.build_sampling_plan(rates, 64, 64)
+        tracemalloc.start()
+        try:
+            plan = convops.build_sampling_plan(rates, 64, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # D shares S's index arrays: the plan keeps S's three arrays and
+        # D's data.
+        assert np.shares_memory(plan.D.indices, plan.S.indices)
+        kept = sum(a.nbytes for a in (plan.S.data, plan.S.indices,
+                                      plan.S.indptr, plan.D.data))
+        # Per-tap (9, N) temporaries, rows repeating each axis's three
+        # offsets, took the peak past 2x.
+        assert peak < 2 * kept
+
+
 class TestDispatch:
     """`conv_forward`/`conv_backward` serve every kind through the per-kind
     op, and every public op checks the kind and the gradient shape."""
@@ -629,3 +711,21 @@ print("scipy" in sys.modules)
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split()[-2:] == ["False", "True"]
+
+
+def test_package_import_loads_no_submodule():
+    """`import ascnet` binds nothing but its docstring: callers import the
+    modules they use, so each module loads only what it needs."""
+    script = """
+import sys
+import ascnet
+print(sorted(m for m in sys.modules if m.startswith("ascnet.")))
+print(sorted(n for n in vars(ascnet) if not n.startswith("__")))
+"""
+    src = str(Path(convops.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[:2] == ["[]", "[]"]
