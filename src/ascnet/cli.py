@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import data, models, tensor, training
+from . import data, models, training
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,7 +69,7 @@ def _build_parser():
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient checks")
     p.add_argument("--target", required=True,
-                   choices=list(training.GRADCHECK_TOLERANCES))
+                   choices=list(training.GRADCHECK_TARGETS))
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("bench", help="train and compare the three 7-layer models")
@@ -86,17 +86,22 @@ def _build_parser():
     return parser
 
 
-def _split_dir(root, split):
+def _splits(root):
+    """A corpus's (train, test) directories: train/ or else the root, and
+    test/ or else None."""
     root = Path(root)
-    candidate = root / split
-    return candidate if candidate.is_dir() else root
-
-
-def _load_split(root, split):
-    return data.load_image_dir(_split_dir(root, split))
+    train, test = root / "train", root / "test"
+    return train if train.is_dir() else root, test if test.is_dir() else None
 
 
 def _cmd_synth(args):
+    # Writing over a corpus would leave the old run's surplus images beside
+    # the new ones, so refuse one up front.
+    out = Path(args.out)
+    held = [n for n in ("train", "test", "manifest.json") if (out / n).exists()]
+    if held:
+        raise ValueError(f"--out {out}: already holds {', '.join(held)}; "
+                         "synth writes only a new corpus")
     cfg_kwargs = {}
     try:
         if args.config:
@@ -108,10 +113,9 @@ def _cmd_synth(args):
             cfg_kwargs["seed"] = args.seed
         # An unknown field or a value of the wrong type is a TypeError.
         cfg = data.SynthConfig(**cfg_kwargs)
-    except (TypeError, ValueError) as exc:
+        train_set, test_set = data.generate_synth(cfg)
+    except (TypeError, ValueError, RuntimeError) as exc:
         raise ValueError(f"{args.config or '--seed'}: {exc}") from None
-    train_set, test_set = data.generate_synth(cfg)
-    out = Path(args.out)
     data.write_samples(train_set, out / "train")
     data.write_samples(test_set, out / "test")
     manifest = dataclasses.asdict(cfg)
@@ -125,15 +129,19 @@ def _cmd_synth(args):
 def _train_one(variant, train_set, cfg):
     in_ch, h, w = train_set[0].image.shape[1:]
     spec = models.ModelSpec(variant, height=h, width=w, in_channels=in_ch)
-    model = models.build_model(spec, tensor.make_rng(cfg.seed))
+    model = models.build_model(spec, cfg.seed)
     return training.train(model, train_set, cfg)
 
 
 def _cmd_train(args):
-    train_set = _load_split(args.data, "train")
     cfg = training.TrainConfig(iterations=args.iters, lr=args.lr, seed=args.seed,
                                deterministic=args.deterministic,
                                log_every=args.log_every)
+    train_dir, test_dir = _splits(args.data)
+    train_set = data.load_image_dir(train_dir)
+    # Read before training: a bad test file then costs no run and leaves no
+    # checkpoint behind.
+    test_set = data.load_image_dir(test_dir) if test_dir else None
     try:
         model, report = _train_one(args.model, train_set, cfg)
     except training.TrainingDiverged as exc:
@@ -143,9 +151,8 @@ def _cmd_train(args):
     if args.report:
         report.to_csv(args.report)
 
-    test_dir = Path(args.data) / "test"
-    if test_dir.is_dir():
-        text = training.evaluate(model, data.load_image_dir(test_dir)).summary()
+    if test_set is not None:
+        text = training.evaluate(model, test_set).summary()
         print(text)
         if args.report:
             with open(str(args.report) + ".metrics.txt", "w") as f:
@@ -155,7 +162,7 @@ def _cmd_train(args):
 
 def _cmd_eval(args):
     model = models.load_checkpoint(args.ckpt)
-    samples = _load_split(args.data, "test")
+    samples = data.load_image_dir(_splits(args.data)[1] or args.data)
     print(training.evaluate(model, samples, pooled=args.pooled).summary())
     return 0
 
@@ -170,21 +177,21 @@ def _cmd_gradcheck(args):
 
 
 def _cmd_bench(args):
-    train_dir, test_dir = _split_dir(args.data, "train"), _split_dir(args.data, "test")
-    if train_dir == test_dir:
+    train_dir, test_dir = _splits(args.data)
+    if test_dir is None:
         raise ValueError(f"{args.data}: bench needs train/ and test/ splits; "
-                         "without them it would score its training images")
+                         "without test/ it would score its training images")
+    cfgs = [training.TrainConfig(iterations=args.iters, lr=args.lr, seed=seed)
+            for seed in args.seeds]
     train_set = data.load_image_dir(train_dir)
     test_set = data.load_image_dir(test_dir)
     print("note: synthetic desk-scale benchmark; absolute metric values are "
           "not comparable to full-scale published results", file=sys.stderr)
 
     rows = []
-    for variant in ("classic7", "dilated7", "ascnet7"):
+    for variant in (models.CLASSIC7, models.DILATED7, models.ASCNET7):
         per_seed = []
-        for seed in args.seeds:
-            cfg = training.TrainConfig(iterations=args.iters, lr=args.lr,
-                                       seed=seed)
+        for cfg in cfgs:
             model, _ = _train_one(variant, train_set, cfg)
             per_seed.append(training.evaluate(model, test_set))
         rows.append((
@@ -205,9 +212,8 @@ def _cmd_bench(args):
 def _cmd_ratefield(args):
     model = models.load_checkpoint(args.ckpt)
     if not model.is_adaptive:
-        print(f"checkpoint variant {model.spec.variant!r} has no rate field "
-              "(only ascnet variants learn one)", file=sys.stderr)
-        return 2
+        raise ValueError(f"{args.ckpt}: variant {model.spec.variant!r} has no "
+                         "rate field (only ascnet variants learn one)")
 
     img_path = Path(args.image)
     image, _ = data.read_image(img_path)

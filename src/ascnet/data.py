@@ -70,6 +70,11 @@ class SynthConfig:
                 raise ValueError(f"{name}: {value!r} must be >= {least}")
         if self.outline_width <= 0:
             raise ValueError(f"outline_width: {self.outline_width!r} must be > 0")
+        # The renderer clips to [0, 1]: a level outside only flattens the image.
+        for name in ("background_level", "foreground_level"):
+            value = getattr(self, name)
+            if not 0 <= value <= 1:
+                raise ValueError(f"{name}: {value!r} must be in [0, 1]")
         for name in ("small_per_image", "large_per_image"):
             lo, hi = value = getattr(self, name)
             if not 0 <= lo <= hi:
@@ -127,12 +132,13 @@ def _place_disks(rng, cfg):
                     break
             else:
                 raise RuntimeError(
-                    f"could not place a disk after {cfg.max_place_tries} tries"
+                    f"max_place_tries: could not place a disk after "
+                    f"{cfg.max_place_tries} tries"
                 )
     return disks
 
 
-def _render_sample(rng, cfg) -> SegmentationSample:
+def _render_sample(rng, cfg, name) -> SegmentationSample:
     h, w = cfg.height, cfg.width
     disks = _place_disks(rng, cfg)
     yy, xx = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
@@ -145,7 +151,11 @@ def _render_sample(rng, cfg) -> SegmentationSample:
         raw[ring] = cfg.foreground_level
     raw = raw + rng.normal(0.0, cfg.noise_sigma, size=(h, w))
     raw = np.clip(raw, 0.0, 1.0)
-    image = preprocess(raw).reshape(1, 1, h, w)
+    try:
+        image = preprocess(raw).reshape(1, 1, h, w)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}; noise_sigma: {cfg.noise_sigma!r} "
+                         "adds no variance to it") from None
     return SegmentationSample(image, labels.reshape(1, h, w), disks,
                               raw.astype(np.float32))
 
@@ -153,8 +163,10 @@ def _render_sample(rng, cfg) -> SegmentationSample:
 def generate_synth(cfg: SynthConfig):
     """Deterministically generate (train, test) sample lists from cfg.seed."""
     rng = tensor.make_rng(cfg.seed)
-    train = [_render_sample(rng, cfg) for _ in range(cfg.num_train)]
-    test = [_render_sample(rng, cfg) for _ in range(cfg.num_test)]
+    train = [_render_sample(rng, cfg, f"train sample {i}")
+             for i in range(cfg.num_train)]
+    test = [_render_sample(rng, cfg, f"test sample {i}")
+            for i in range(cfg.num_test)]
     return train, test
 
 
@@ -288,14 +300,8 @@ def export_rate_field(rates: np.ndarray, prefix) -> None:
 
 
 def load_rate_field_csv(path) -> np.ndarray:
-    rows = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                rows.append([float(v) for v in line.split(",")])
-    vals = np.array(rows, dtype=np.float64)
-    return vals.reshape(1, 1, *vals.shape)
+    """Read an exported <prefix>.csv back as a (1,1,H,W) float64 field."""
+    return np.loadtxt(path, delimiter=",", ndmin=2)[None, None]
 
 
 SMALL_OBJECT_RADIUS = 7.0
@@ -373,11 +379,15 @@ def read_image(path):
 
 def read_label(path, dims):
     """Read a label PGM as int64 classes, checking it has the image's
-    (H, W) `dims`."""
+    (H, W) `dims` and only the values 0 (background) and 1 (object)."""
     lbl = read_pgm(path)
     if lbl.shape != dims:
         raise ValueError(f"{path}: label dims {lbl.shape} do not match "
                          f"image dims {dims}")
+    if lbl.max() > 1:
+        y, x = np.argwhere(lbl > 1)[0]
+        raise ValueError(f"{path}: label value {lbl[y, x]} at pixel ({y},{x}) "
+                         "is not 0 or 1")
     return lbl.astype(np.int64)
 
 

@@ -1,11 +1,8 @@
 """Model architectures: the rate network, the four experiment variants,
 full-network forward/backward, and checkpoint serialization.
 
-Variants:
-  classic7  - 7 classic convs, channels 8,8,8,8,8,8,num_classes
-  dilated7  - same channels, dilation rates 1,1,2,4,8,16,1
-  ascnet7   - rate network + 7 adaptive convs, channels as classic7
-  ascnet14  - rate network + 14 adaptive convs, first 13 at 32 channels
+`VARIANT_LAYERS` gives each variant's conv kind and hidden widths; a final
+conv to num_classes logits follows them. Dilated layers take `DILATED_RATES`.
 
 Every non-final conv is followed by ReLU; the final conv emits raw logits.
 Adaptive variants compute one rate field per image from the raw input and
@@ -14,7 +11,7 @@ share it across all adaptive layers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +23,14 @@ DILATED7 = "dilated7"
 ASCNET7 = "ascnet7"
 ASCNET14 = "ascnet14"
 
-VARIANTS = (CLASSIC7, DILATED7, ASCNET7, ASCNET14)
+# Each variant's conv kind and hidden widths, in checkpoint-id order.
+VARIANT_LAYERS = {
+    CLASSIC7: (CLASSIC, (8,) * 6),
+    DILATED7: (DILATED, (8,) * 6),
+    ASCNET7: (ADAPTIVE, (8,) * 6),
+    ASCNET14: (ADAPTIVE, (32,) * 13),
+}
+VARIANTS = tuple(VARIANT_LAYERS)
 
 DILATED_RATES = (1, 1, 2, 4, 8, 16, 1)
 RATE_NET_CHANNELS = (8, 4, 1)
@@ -46,11 +50,10 @@ class ModelSpec:
             raise ValueError(f"unknown model variant {self.variant!r}")
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
-
-    def channel_plan(self):
-        if self.variant == ASCNET14:
-            return [32] * 13 + [self.num_classes]
-        return [8] * 6 + [self.num_classes]
+        for name in ("height", "width", "in_channels"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name}: {value!r} must be >= 1")
 
 
 @dataclass
@@ -107,15 +110,12 @@ def build_model(spec: ModelSpec, rng, dtype=np.float32) -> Model:
     """Instantiate a variant with He-initialized conv weights."""
     if isinstance(rng, (int, np.integer)):
         rng = tensor.make_rng(int(rng))
-    ratenet = None
-    if spec.variant in (ASCNET7, ASCNET14):
-        ratenet = _build_ratenet(rng, spec.in_channels, dtype)
-        kind = ADAPTIVE
-    elif spec.variant == DILATED7:
-        kind = DILATED
-    else:
-        kind = CLASSIC
-    layers = _he_layers(rng, spec.in_channels, spec.channel_plan(), kind, dtype)
+    kind, hidden = VARIANT_LAYERS[spec.variant]
+    # The rate network draws from rng first, then the trunk.
+    ratenet = (_build_ratenet(rng, spec.in_channels, dtype) if kind == ADAPTIVE
+               else None)
+    layers = _he_layers(rng, spec.in_channels, hidden + (spec.num_classes,),
+                        kind, dtype)
     return Model(spec, layers, ratenet)
 
 

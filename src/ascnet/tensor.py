@@ -6,8 +6,8 @@ and float64 for gradient checking. Randomness always flows through
 ``make_rng``, which is numpy's PCG64 generator: identical seeds give
 identical value streams on every platform.
 
-Also implements the binary tensor container used for checkpoints and
-cached corpora (magic "ASCT", see `save_tensors` / `load_tensors`).
+Also implements the binary tensor container used for checkpoints (magic
+"ASCT", see `save_tensors` / `load_tensors`).
 """
 
 from __future__ import annotations

@@ -26,10 +26,12 @@ class TrainConfig:
     log_every: int = 100
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0")
+        for name, least in (("iterations", 1), ("seed", 0), ("log_every", 1)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name}: {value!r} must be >= {least}")
+        if not 0 < self.lr < float("inf"):
+            raise ValueError(f"lr: {self.lr!r} must be finite and > 0")
 
 
 @dataclass
@@ -274,16 +276,15 @@ def _check_net(target, seed, h, tol):
                     h, tol)
 
 
-# Gradient-check targets and their default tolerances.
-GRADCHECK_TOLERANCES = {
-    "classic": 1e-6,
-    "dilated": 1e-6,
-    "asc": 1e-4,
-    "ratenet": 1e-5,
-    "model": 1e-3,
+# Gradient-check targets: the conv kind a one-layer target checks (None for
+# the reduced-model targets) and the default tolerance.
+GRADCHECK_TARGETS = {
+    "classic": (convops.CLASSIC, 1e-6),
+    "dilated": (convops.DILATED, 1e-6),
+    "asc": (convops.ADAPTIVE, 1e-4),
+    "ratenet": (None, 1e-5),
+    "model": (None, 1e-3),
 }
-_CONV_TARGETS = {"classic": convops.CLASSIC, "dilated": convops.DILATED,
-                 "asc": convops.ADAPTIVE}
 
 
 def grad_check(target: str, seed: int = 0, h: float = 1e-4,
@@ -293,12 +294,14 @@ def grad_check(target: str, seed: int = 0, h: float = 1e-4,
     targets: classic | dilated | asc | ratenet | model (a reduced-depth
     adaptive network including the rate-network parameters).
     """
-    if target not in GRADCHECK_TOLERANCES:
+    if target not in GRADCHECK_TARGETS:
         raise ValueError(f"unknown gradcheck target {target!r}")
-    if tol is None:
-        tol = GRADCHECK_TOLERANCES[target]
-    if target in _CONV_TARGETS:
-        entries = _check_conv(_CONV_TARGETS[target], seed, h, tol, asc_rates)
+    if seed < 0:
+        raise ValueError(f"seed: {seed!r} must be >= 0")
+    kind, default_tol = GRADCHECK_TARGETS[target]
+    tol = default_tol if tol is None else tol
+    if kind is not None:
+        entries = _check_conv(kind, seed, h, tol, asc_rates)
     else:
         entries = _check_net(target, seed, h, tol)
     return GradCheckReport(target, entries)

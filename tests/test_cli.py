@@ -75,6 +75,9 @@ class TestSynth:
         ('{"height": "abc"}', "not supported"),
         ('{"num_train": 2,', "line 1"),
         ('{"height": 32, "width": 32}', "large_radius"),
+        ('{"noise_sigma": 0, "small_per_image": [0, 0], '
+         '"large_per_image": [0, 0]}', "noise_sigma"),
+        ('{"large_per_image": [8, 8], "max_place_tries": 5}', "max_place_tries"),
     ])
     def test_bad_config_names_file(self, tmp_path, capsys, text, message):
         cfg_path = tmp_path / "cfg.json"
@@ -116,6 +119,8 @@ class TestSynth:
         ('{"outline_width": -1}', "outline_width"),
         ('{"outline_width": 0}', "outline_width"),
         ('{"small_radius": [4, 2]}', "small_radius"),
+        ('{"background_level": 3.0, "foreground_level": 7.0}', "background_level"),
+        ('{"foreground_level": -0.5}', "foreground_level"),
     ])
     def test_config_value_out_of_range_names_file_and_field(
             self, tmp_path, capsys, text, field):
@@ -128,6 +133,22 @@ class TestSynth:
         assert f"{cfg_path}: {field}: {value!r} " in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("held", ["train", "test", "manifest.json"])
+    def test_existing_corpus_refused(self, tmp_path, capsys, held):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "cfg.json").write_text(json.dumps(SMALL_CFG))
+        if held == "manifest.json":
+            (out / held).write_text("{}")
+        else:
+            (out / held).mkdir()
+        before = sorted(p.name for p in out.iterdir())
+        assert main(["synth", "--out", str(out), "--config",
+                     str(out / "cfg.json")]) == 2
+        err = capsys.readouterr().err
+        assert f"--out {out}: " in err and held in err
+        assert sorted(p.name for p in out.iterdir()) == before
 
 
 class TestTrainEval:
@@ -225,6 +246,26 @@ class TestTrainEval:
         vals = [float(kv.split("=")[1]) for kv in out.split()]
         assert all(0.0 <= v <= 1.0 for v in vals)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--seed", "-1"], "seed: -1 must be >= 0"),
+        (["train", "--lr", "nan"], "lr: nan must be finite and > 0"),
+        (["train", "--lr", "inf"], "lr: inf must be finite and > 0"),
+        (["gradcheck", "--target", "classic", "--seed", "-1"],
+         "seed: -1 must be >= 0"),
+        (["bench", "--seeds", "1,-2"], "seed: -2 must be >= 0"),
+    ])
+    def test_out_of_range_setting_names_field(self, corpus_dir, tmp_path, capsys,
+                                              argv, message):
+        ckpt = tmp_path / "m.asct"
+        if argv[0] == "train":
+            argv = argv + ["--model", "classic7", "--out", str(ckpt)]
+        if argv[0] != "gradcheck":
+            argv = argv + ["--data", str(corpus_dir), "--iters", "2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert captured.out == "" and not ckpt.exists()
+
     def test_usage_error_exit_code(self):
         assert main(["train", "--model", "resnet", "--data", "x",
                      "--out", "y"]) == 1
@@ -312,6 +353,29 @@ class TestCorpusErrors:
         assert self._ratefield(tmp_path, img) == 2
         assert f"{img}: cannot normalize" in capsys.readouterr().err
 
+    def test_non_binary_label(self, corpus_copy, tmp_path, capsys):
+        ckpt, report = tmp_path / "m.asct", tmp_path / "rep.csv"
+        train = ["train", "--model", "classic7", "--data", str(corpus_copy),
+                 "--iters", "1", "--out", str(ckpt), "--report", str(report)]
+        for split, value in (("test", 9), ("train", 7)):
+            lbl = corpus_copy / split / "lbl_0001.pgm"
+            values = data.read_pgm(lbl)
+            values[3, 4] = value
+            data.write_pgm(lbl, values, maxval=255)
+            assert main(train) == 2
+            captured = capsys.readouterr()
+            assert (f"{lbl}: label value {value} at pixel (3,4) is not 0 or 1"
+                    in captured.err)
+            assert captured.out == "" and not list(tmp_path.glob("*.*"))
+        test_lbl = corpus_copy / "test" / "lbl_0001.pgm"
+        assert self._eval(tmp_path, corpus_copy) == 2
+        captured = capsys.readouterr()
+        assert f"{test_lbl}: label value 9" in captured.err
+        assert captured.out == ""
+        assert self._ratefield(tmp_path, corpus_copy / "test" / "img_0001.pgm") == 2
+        assert f"{test_lbl}: label value 9" in capsys.readouterr().err
+        assert not list(tmp_path.glob("rf.*"))
+
 
 class TestGradcheckCmd:
     @pytest.mark.parametrize("target", ["classic", "asc"])
@@ -345,6 +409,18 @@ class TestBench:
                      "--seeds", "1"]) == 2
         captured = capsys.readouterr()
         assert f"{flat}: " in captured.err and "splits" in captured.err
+        assert "| Model |" not in captured.out
+
+    def test_train_split_without_test_is_rejected(self, corpus_dir, tmp_path,
+                                                  capsys):
+        import shutil
+
+        only_train = tmp_path / "only_train"
+        shutil.copytree(corpus_dir / "train", only_train / "train")
+        assert main(["bench", "--data", str(only_train), "--iters", "2",
+                     "--seeds", "1"]) == 2
+        captured = capsys.readouterr()
+        assert f"{only_train}: " in captured.err and "test/" in captured.err
         assert "| Model |" not in captured.out
 
     def test_bad_seeds_rejected(self, corpus_dir):

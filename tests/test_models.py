@@ -243,6 +243,7 @@ class TestCheckpoint:
         ([0.5, 2, 16, 16], "malformed 'spec'"),
         ([np.nan, 2, 16, 16], "malformed 'spec'"),
         ([0, 1, 16, 16], "num_classes must be >= 2"),
+        ([0, 2, -5, 16], "height: -5 must be >= 1"),
     ])
     def test_malformed_spec_rejected(self, tmp_path, spec, message):
         m = build_model(ModelSpec("classic7", height=16, width=16), 0)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,17 @@ class TestTrain:
             TrainConfig(iterations=0)
         with pytest.raises(ValueError):
             TrainConfig(lr=0.0)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: TrainConfig(seed=-1), "seed: -1 must be >= 0"),
+        (lambda: TrainConfig(log_every=0), "log_every: 0 must be >= 1"),
+        (lambda: TrainConfig(lr=float("nan")), "lr: nan must be finite and > 0"),
+        (lambda: TrainConfig(lr=float("-inf")), "lr: -inf must be finite and > 0"),
+        (lambda: grad_check("classic", seed=-1), "seed: -1 must be >= 0"),
+    ], ids=["seed", "log_every", "lr-nan", "lr-inf", "gradcheck-seed"])
+    def test_out_of_range_names_field(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
 
     def test_one_iteration_changes_some_parameter(self, tiny_corpus):
         train_set, _ = tiny_corpus
