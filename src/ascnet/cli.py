@@ -126,6 +126,21 @@ def _cmd_synth(args):
     return 0
 
 
+def _dims(samples):
+    """'HxW' of a loaded directory's images, which share one size."""
+    return "x".join(map(str, samples[0].image.shape[2:]))
+
+
+def _load_test(test_dir, train_dir, train_set):
+    """Load test/, which must hold images of train/'s size: a model trained
+    on one size cannot score another."""
+    test_set = data.load_image_dir(test_dir)
+    if _dims(test_set) != _dims(train_set):
+        raise ValueError(f"{test_dir}: images are {_dims(test_set)}, but "
+                         f"{train_dir} holds {_dims(train_set)}")
+    return test_set
+
+
 def _train_one(variant, train_set, cfg):
     in_ch, h, w = train_set[0].image.shape[1:]
     spec = models.ModelSpec(variant, height=h, width=w, in_channels=in_ch)
@@ -141,7 +156,7 @@ def _cmd_train(args):
     train_set = data.load_image_dir(train_dir)
     # Read before training: a bad test file then costs no run and leaves no
     # checkpoint behind.
-    test_set = data.load_image_dir(test_dir) if test_dir else None
+    test_set = _load_test(test_dir, train_dir, train_set) if test_dir else None
     try:
         model, report = _train_one(args.model, train_set, cfg)
     except training.TrainingDiverged as exc:
@@ -162,7 +177,12 @@ def _cmd_train(args):
 
 def _cmd_eval(args):
     model = models.load_checkpoint(args.ckpt)
-    samples = data.load_image_dir(_splits(args.data)[1] or args.data)
+    data_dir = _splits(args.data)[1] or args.data
+    samples = data.load_image_dir(data_dir)
+    model_dims = f"{model.spec.height}x{model.spec.width}"
+    if _dims(samples) != model_dims:
+        raise ValueError(f"{data_dir}: images are {_dims(samples)}, but "
+                         f"checkpoint {args.ckpt} is for {model_dims}")
     print(training.evaluate(model, samples, pooled=args.pooled).summary())
     return 0
 
@@ -184,7 +204,7 @@ def _cmd_bench(args):
     cfgs = [training.TrainConfig(iterations=args.iters, lr=args.lr, seed=seed)
             for seed in args.seeds]
     train_set = data.load_image_dir(train_dir)
-    test_set = data.load_image_dir(test_dir)
+    test_set = _load_test(test_dir, train_dir, train_set)
     print("note: synthetic desk-scale benchmark; absolute metric values are "
           "not comparable to full-scale published results", file=sys.stderr)
 

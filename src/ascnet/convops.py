@@ -23,7 +23,6 @@ import numpy as np
 # (dy, dx), row-major over the kernel window.
 AXIS_OFFSETS = (-1, 0, 1)
 TAP_OFFSETS = tuple((dy, dx) for dy in AXIS_OFFSETS for dx in AXIS_OFFSETS)
-_CENTER = TAP_OFFSETS.index((0, 0))
 
 CLASSIC = "classic"
 DILATED = "dilated"
@@ -129,40 +128,52 @@ def _param_grads(cols: np.ndarray, layer: ConvLayer, g: np.ndarray):
     return grad_w.reshape(layer.weights.shape), g.sum(axis=1)
 
 
-def _tap_windows(c: int, h: int, w: int, rate: int, dtype) -> list:
-    """The nine (C, H, W) windows, in TAP_OFFSETS order, of a zeroed
-    (C, H+2*rate, W+2*rate) array: window t is shifted by rate times tap t's
-    offset, so window `_CENTER` is the unpadded image."""
-    padded = np.zeros((c, h + 2 * rate, w + 2 * rate), dtype=dtype)
-    return [padded[:, rate * (1 + dy):rate * (1 + dy) + h,
-                   rate * (1 + dx):rate * (1 + dx) + w]
-            for dy, dx in TAP_OFFSETS]
+def _axis_span(n: int, shift: int):
+    """The output slice along an axis of length n whose reads at `shift` land
+    inside [0, n), and the input slice they read; both are empty when
+    |shift| >= n (a negative stop would wrap around)."""
+    lo, hi = max(0, -shift), min(n, n - shift)
+    if lo >= hi:
+        return slice(0, 0), slice(0, 0)
+    return slice(lo, hi), slice(lo + shift, hi + shift)
+
+
+def _tap_blocks(h: int, w: int, rate: int) -> list:
+    """For each tap in TAP_OFFSETS order, (out_y, out_x, in_y, in_x): the
+    output pixels whose read at `rate` times the tap's offset lands inside
+    the (h, w) image, and the input pixels they read."""
+    blocks = []
+    for dy, dx in TAP_OFFSETS:
+        out_y, in_y = _axis_span(h, rate * dy)
+        out_x, in_x = _axis_span(w, rate * dx)
+        blocks.append((out_y, out_x, in_y, in_x))
+    return blocks
 
 
 def _integer_cols(x3: np.ndarray, rate: int) -> np.ndarray:
     """Gather the 9 dilated taps of every pixel into (C, 9, H*W) columns:
-    im2col for a 3x3 kernel with integer dilation, zero-padded by `rate`."""
+    im2col for a 3x3 kernel with integer dilation; off-image taps read 0."""
     c, h, w = x3.shape
-    windows = _tap_windows(c, h, w, rate, x3.dtype)
-    windows[_CENTER][...] = x3
-    cols = np.empty((c, 9, h, w), dtype=x3.dtype)
-    for t, window in enumerate(windows):
-        cols[:, t] = window
+    cols = np.zeros((c, 9, h, w), dtype=x3.dtype)
+    for t, (out_y, out_x, in_y, in_x) in enumerate(_tap_blocks(h, w, rate)):
+        cols[:, t, out_y, out_x] = x3[:, in_y, in_x]
     return cols.reshape(c, 9, h * w)
 
 
 def _cols_to_image(grad_cols: np.ndarray, rate: int, h: int, w: int):
-    """Adjoint of `_integer_cols`: scatter tap columns back onto the image."""
+    """Adjoint of `_integer_cols`: add each tap's columns back onto the
+    image, in TAP_OFFSETS order."""
     c = grad_cols.shape[0]
-    windows = _tap_windows(c, h, w, rate, grad_cols.dtype)
     grad_cols = grad_cols.reshape(c, 9, h, w)
-    for t, window in enumerate(windows):
-        window += grad_cols[:, t]
-    return windows[_CENTER].reshape(1, c, h, w)
+    grad_x = np.zeros((1, c, h, w), dtype=grad_cols.dtype)
+    for t, (out_y, out_x, in_y, in_x) in enumerate(_tap_blocks(h, w, rate)):
+        grad_x[0, :, in_y, in_x] += grad_cols[:, t, out_y, out_x]
+    return grad_x
 
 
-# Integer taps are read by slicing a padded copy: a sampling operator
-# gives the same columns but costs several times as much per layer.
+# Integer taps are copied block by block straight from the image: a
+# sampling operator gives the same columns but costs several times as much
+# per layer.
 def _int_forward(x, layer, kind, rate):
     x3 = _check_input(x, layer, kind)
     h, w = x3.shape[1:]
@@ -173,9 +184,12 @@ def _int_backward(x, layer, grad_y, kind, rate):
     x3 = _check_input(x, layer, kind, grad_y)
     c, h, w = x3.shape
     g = grad_y.reshape(layer.out_channels, h * w)
+    # The input columns are freed before the gradient columns are formed,
+    # so only one (C, 9, H*W) array is alive at a time.
+    grad_w, grad_b = _param_grads(_integer_cols(x3, rate), layer, g)
     grad_cols = layer.weights.reshape(layer.out_channels, c * 9).T @ g
     grad_x = _cols_to_image(grad_cols.reshape(c, 9, h * w), rate, h, w)
-    return (grad_x, *_param_grads(_integer_cols(x3, rate), layer, g))
+    return grad_x, grad_w, grad_b
 
 
 def conv_classic_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:

@@ -420,7 +420,8 @@ def read_meta(path) -> dict:
 
 def load_image_dir(path) -> list:
     """Load img_*.pgm / lbl_*.pgm pairs (plus meta.csv when present) as
-    preprocessed samples. Errors name the offending file."""
+    preprocessed samples, all of one image size. Errors name the offending
+    file."""
     path = Path(path)
     imgs = sorted(path.glob("img_*.pgm"))
     if not imgs:
@@ -435,6 +436,9 @@ def load_image_dir(path) -> list:
         if not lbl_path.exists():
             raise ValueError(f"{img_path}: missing label file {lbl_path.name}")
         image, raw = read_image(img_path)
+        if samples and raw.shape != samples[0].raw.shape:
+            raise ValueError(f"{img_path}: image dims {raw.shape} differ from "
+                             f"{samples[0].raw.shape} of {imgs[0].name}")
         lbl = read_label(lbl_path, raw.shape)
         samples.append(SegmentationSample(
             image,

@@ -376,6 +376,51 @@ class TestCorpusErrors:
         assert f"{test_lbl}: label value 9" in capsys.readouterr().err
         assert not list(tmp_path.glob("rf.*"))
 
+    @staticmethod
+    def _write_doubled(img, index):
+        """Write img's pair back into its directory as pair `index`, at
+        twice its size."""
+        for src, prefix in ((img, "img"), (data.label_path(img), "lbl")):
+            values = data.read_pgm(src)
+            data.write_pgm(img.parent / f"{prefix}_{index:04d}.pgm",
+                           values.repeat(2, axis=0).repeat(2, axis=1),
+                           maxval=np.iinfo(values.dtype).max)
+
+    @pytest.mark.parametrize("case", ["train_split_doubled", "bench_split_doubled",
+                                      "test_pair_doubled", "eval_pair_doubled",
+                                      "eval_ckpt_doubled"])
+    def test_mixed_image_sizes(self, case, corpus_copy, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["train", "--model", "classic7", "--data", str(corpus_copy),
+                "--iters", "1", "--out", str(out / "m.asct"),
+                "--report", str(out / "rep.csv")]
+        test_dir = corpus_copy / "test"
+        if case in ("train_split_doubled", "bench_split_doubled"):
+            for img in sorted((corpus_copy / "train").glob("img_*.pgm")):
+                self._write_doubled(img, data.image_index(img))
+            if case == "bench_split_doubled":
+                argv = ["bench", "--data", str(corpus_copy), "--iters", "1",
+                        "--seeds", "1"]
+            named = [f"{test_dir}: images are 32x32",
+                     f"{corpus_copy / 'train'} holds 64x64"]
+        elif case == "eval_ckpt_doubled":
+            ckpt = tmp_path / "big.asct"
+            save_checkpoint(build_model(ModelSpec("ascnet7", 2, 64, 64), 0), ckpt)
+            argv = ["eval", "--ckpt", str(ckpt), "--data", str(corpus_copy)]
+            named = [f"{test_dir}: images are 32x32", f"checkpoint {ckpt}"]
+        else:
+            self._write_doubled(test_dir / "img_0000.pgm", 99)
+            if case == "eval_pair_doubled":
+                argv = ["eval", "--ckpt", str(self._fresh_ckpt(tmp_path)),
+                        "--data", str(corpus_copy)]
+            named = [f"{test_dir / 'img_0099.pgm'}: image dims (64, 64) differ "
+                     "from (32, 32) of img_0000.pgm"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert all(n in captured.err for n in named), captured.err
+        assert captured.out == "" and not list(out.iterdir())
+
 
 class TestGradcheckCmd:
     @pytest.mark.parametrize("target", ["classic", "asc"])

@@ -297,7 +297,10 @@ class TestIntConvBackward:
         gx, _, _ = conv_classic_backward(x, layer, g)
         assert np.allclose(gx, g, atol=1e-12)
 
-    @pytest.mark.parametrize("kind,rate", [(convops.CLASSIC, 1), (convops.DILATED, 2)])
+    # On the 6x6 map rate 4 straddles the edge, and rate 7 puts every
+    # non-centre tap off the map.
+    @pytest.mark.parametrize("kind,rate", [(convops.CLASSIC, 1), (convops.DILATED, 2),
+                                           (convops.DILATED, 4), (convops.DILATED, 7)])
     def test_matches_finite_differences(self, kind, rate):
         rng = RNG(2)
         x = rng.standard_normal((1, 2, 6, 6))
@@ -475,6 +478,24 @@ class TestTapBlocks:
         # A whole-image (9N, C) product next to the (C, 9, N) columns would
         # take the peak past 2x.
         assert peak < 1.5 * sampled.nbytes
+
+    @pytest.mark.parametrize("rate", [1, 16])
+    def test_integer_backward_peak_memory_stays_near_one_column_array(self, rate):
+        rng = RNG(31)
+        x = rng.standard_normal((1, 8, 64, 64)).astype(np.float32)
+        layer = make_layer(rng, 8, 8, convops.DILATED, rate)
+        layer = ConvLayer(layer.weights.astype(np.float32),
+                          layer.bias.astype(np.float32), convops.DILATED, rate)
+        g = rng.standard_normal((1, 8, 64, 64)).astype(np.float32)
+        conv_dilated_backward(x, layer, g)
+        tracemalloc.start()
+        try:
+            conv_dilated_backward(x, layer, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Two (C, 9, H*W) arrays alive at once would take the peak past 2x.
+        assert peak < 1.5 * (8 * 9 * 64 * 64 * 4)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_whole_matrix_product_bit_for_bit(self, dtype):
