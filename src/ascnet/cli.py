@@ -126,39 +126,32 @@ def _cmd_synth(args):
     return 0
 
 
-def _dims(samples):
-    """'HxW' of a loaded directory's images, which share one size."""
-    return "x".join(map(str, samples[0].image.shape[2:]))
-
-
-def _load_test(test_dir, train_dir, train_set):
-    """Load test/, which must hold images of train/'s size: a model trained
-    on one size cannot score another."""
-    test_set = data.load_image_dir(test_dir)
-    if _dims(test_set) != _dims(train_set):
-        raise ValueError(f"{test_dir}: images are {_dims(test_set)}, but "
-                         f"{train_dir} holds {_dims(train_set)}")
-    return test_set
-
-
-def _train_one(variant, train_set, cfg):
+def _load_corpus(root, variants):
+    """A corpus's train samples, its test samples (None without test/) and
+    each variant's spec, built for the train images. test/ is read and
+    checked against the specs before any training: a bad test file then
+    costs no run and leaves no checkpoint behind."""
+    train_dir, test_dir = _splits(root)
+    train_set = data.load_image_dir(train_dir)
     in_ch, h, w = train_set[0].image.shape[1:]
-    spec = models.ModelSpec(variant, height=h, width=w, in_channels=in_ch)
-    model = models.build_model(spec, cfg.seed)
-    return training.train(model, train_set, cfg)
+    specs = [models.ModelSpec(v, height=h, width=w, in_channels=in_ch)
+             for v in variants]
+    test_set = None
+    if test_dir:
+        test_set = data.load_image_dir(test_dir)
+        for spec in specs:
+            spec.check_input(test_set[0].image.shape, test_dir, train_dir)
+    return train_set, test_set, specs
 
 
 def _cmd_train(args):
     cfg = training.TrainConfig(iterations=args.iters, lr=args.lr, seed=args.seed,
                                deterministic=args.deterministic,
                                log_every=args.log_every)
-    train_dir, test_dir = _splits(args.data)
-    train_set = data.load_image_dir(train_dir)
-    # Read before training: a bad test file then costs no run and leaves no
-    # checkpoint behind.
-    test_set = _load_test(test_dir, train_dir, train_set) if test_dir else None
+    train_set, test_set, (spec,) = _load_corpus(args.data, [args.model])
     try:
-        model, report = _train_one(args.model, train_set, cfg)
+        model, report = training.train(models.build_model(spec, cfg.seed),
+                                       train_set, cfg)
     except training.TrainingDiverged as exc:
         print(f"training diverged at iteration {exc.iteration}", file=sys.stderr)
         return 2
@@ -179,10 +172,8 @@ def _cmd_eval(args):
     model = models.load_checkpoint(args.ckpt)
     data_dir = _splits(args.data)[1] or args.data
     samples = data.load_image_dir(data_dir)
-    model_dims = f"{model.spec.height}x{model.spec.width}"
-    if _dims(samples) != model_dims:
-        raise ValueError(f"{data_dir}: images are {_dims(samples)}, but "
-                         f"checkpoint {args.ckpt} is for {model_dims}")
+    model.spec.check_input(samples[0].image.shape, data_dir,
+                           f"checkpoint {args.ckpt}")
     print(training.evaluate(model, samples, pooled=args.pooled).summary())
     return 0
 
@@ -197,25 +188,25 @@ def _cmd_gradcheck(args):
 
 
 def _cmd_bench(args):
-    train_dir, test_dir = _splits(args.data)
-    if test_dir is None:
+    if _splits(args.data)[1] is None:
         raise ValueError(f"{args.data}: bench needs train/ and test/ splits; "
                          "without test/ it would score its training images")
     cfgs = [training.TrainConfig(iterations=args.iters, lr=args.lr, seed=seed)
             for seed in args.seeds]
-    train_set = data.load_image_dir(train_dir)
-    test_set = _load_test(test_dir, train_dir, train_set)
+    train_set, test_set, specs = _load_corpus(
+        args.data, [models.CLASSIC7, models.DILATED7, models.ASCNET7])
     print("note: synthetic desk-scale benchmark; absolute metric values are "
           "not comparable to full-scale published results", file=sys.stderr)
 
     rows = []
-    for variant in (models.CLASSIC7, models.DILATED7, models.ASCNET7):
+    for spec in specs:
         per_seed = []
         for cfg in cfgs:
-            model, _ = _train_one(variant, train_set, cfg)
+            model, _ = training.train(models.build_model(spec, cfg.seed),
+                                      train_set, cfg)
             per_seed.append(training.evaluate(model, test_set))
         rows.append((
-            variant,
+            spec.variant,
             statistics.median(r.dice for r in per_seed),
             statistics.median(r.precision for r in per_seed),
             statistics.median(r.recall for r in per_seed),
@@ -237,6 +228,7 @@ def _cmd_ratefield(args):
 
     img_path = Path(args.image)
     image, _ = data.read_image(img_path)
+    model.spec.check_input(image.shape, img_path, f"checkpoint {args.ckpt}")
     # Everything is read and checked before anything is written: a bad
     # corpus file, or a rate field that `model_forward` finds non-finite
     # as it does in `eval`, leaves no partial export behind.

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import numbers
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +25,8 @@ from . import tensor
 class SegmentationSample:
     image: np.ndarray                 # (1,1,H,W) float32, preprocessed
     labels: np.ndarray                # (1,H,W) integer class per pixel
-    meta: list = field(default_factory=list)  # [(cy, cx, radius), ...]
-    raw: np.ndarray | None = None     # (H,W) float in [0,1], pre-normalization
+    meta: list                        # [(cy, cx, radius), ...]
+    raw: np.ndarray                   # (H,W) float in [0,1], pre-normalization
 
 
 @dataclass
@@ -192,18 +192,6 @@ def overlap_metrics(inter, np_, nt) -> dict:
     }
 
 
-def dice(pred_mask, true_mask) -> float:
-    return overlap_metrics(*overlap_counts(pred_mask, true_mask))["dice"]
-
-
-def precision(pred_mask, true_mask) -> float:
-    return overlap_metrics(*overlap_counts(pred_mask, true_mask))["precision"]
-
-
-def recall(pred_mask, true_mask) -> float:
-    return overlap_metrics(*overlap_counts(pred_mask, true_mask))["recall"]
-
-
 # --- PGM (binary P5, 8- or 16-bit big-endian) ---------------------------
 
 
@@ -299,11 +287,6 @@ def export_rate_field(rates: np.ndarray, prefix) -> None:
         f.write(f"min={_fmt(lo)} max={_fmt(hi)}\n")
 
 
-def load_rate_field_csv(path) -> np.ndarray:
-    """Read an exported <prefix>.csv back as a (1,1,H,W) float64 field."""
-    return np.loadtxt(path, delimiter=",", ndmin=2)[None, None]
-
-
 SMALL_OBJECT_RADIUS = 7.0
 
 
@@ -346,8 +329,6 @@ def write_samples(samples, directory) -> None:
         writer = csv.writer(f)
         writer.writerow(["index", "cy", "cx", "radius"])
         for i, s in enumerate(samples):
-            if s.raw is None:
-                raise ValueError("sample has no raw intensities to serialize")
             q = np.round(np.clip(s.raw, 0.0, 1.0) * 65535).astype(np.uint16)
             write_pgm(directory / f"img_{i:04d}.pgm", q, maxval=65535)
             write_pgm(directory / f"lbl_{i:04d}.pgm",

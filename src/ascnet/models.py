@@ -55,6 +55,17 @@ class ModelSpec:
             if value < 1:
                 raise ValueError(f"{name}: {value!r} must be >= 1")
 
+    def check_input(self, shape, source, model_source) -> None:
+        """Raise ValueError unless an image `shape` (..., C, H, W) ends in
+        the (C, H, W) this model was built for, the only one it can score.
+        The message names the images' `source` and the `model_source`."""
+        got = tuple(shape[-3:])
+        if got != (self.in_channels, self.height, self.width):
+            c, h, w = got
+            raise ValueError(
+                f"{source}: images are {h}x{w}x{c}, but {model_source} holds "
+                f"{self.height}x{self.width}x{self.in_channels} (dims HxWxC)")
+
 
 @dataclass
 class RateNetwork:
@@ -155,16 +166,12 @@ def _stack_backward(layers, cache, g, relu_last, prefix, grads):
     for i in range(last, -1, -1):
         if relu_last or i != last:
             g = tensor.relu_backward(cache["preacts"][i], g)
-        # Not `g, ... =`: the older gradient, alive until this call returns,
-        # keeps the heap from shrinking between layers. Freeing it sooner
-        # took 2.6x the minor page faults per ascnet7 training step.
-        gx, gw, gb, gr = convops.conv_backward(
+        g, gw, gb, gr = convops.conv_backward(
             cache["inputs"][i], layers[i], g, cache["asc_caches"][i])
         if gr is not None:
             grad_rates = gr if grad_rates is None else grad_rates + gr
         grads[f"{prefix}layer{i}.weight"] = gw
         grads[f"{prefix}layer{i}.bias"] = gb
-        g = gx
     return g, grad_rates
 
 

@@ -45,15 +45,6 @@ class TrainReport:
                 f.write(f"{it},{loss!r},{sec:.3f}\n")
 
 
-def _check_dims(model, samples):
-    """Raise ValueError unless every sample has the model's (H, W)."""
-    dims = (model.spec.height, model.spec.width)
-    for s in samples:
-        if s.image.shape[2:] != dims:
-            raise ValueError(
-                f"sample dims {s.image.shape[2:]} do not match model {dims}")
-
-
 def train(model, samples, cfg: TrainConfig):
     """Batch-of-one Adam training with per-epoch shuffling from cfg.seed.
 
@@ -63,7 +54,8 @@ def train(model, samples, cfg: TrainConfig):
     """
     if not samples:
         raise ValueError("empty training set")
-    _check_dims(model, samples)
+    for i, s in enumerate(samples):
+        model.spec.check_input(s.image.shape, f"sample {i}", "the model")
 
     params = models.param_dict(model)
     opt = tensor.Adam(params, cfg.lr)
@@ -113,7 +105,8 @@ def evaluate(model, samples, pooled: bool = False) -> EvalResult:
     pooled=True counts are pooled over the whole dataset instead."""
     if not samples:
         raise ValueError("empty evaluation set")
-    _check_dims(model, samples)
+    for i, s in enumerate(samples):
+        model.spec.check_input(s.image.shape, f"sample {i}", "the model")
     num_classes = model.spec.num_classes
     counts = {c: [] for c in range(num_classes)}   # per image (|P&T|, |P|, |T|)
     for s in samples:

@@ -421,6 +421,25 @@ class TestCorpusErrors:
         assert all(n in captured.err for n in named), captured.err
         assert captured.out == "" and not list(out.iterdir())
 
+    @pytest.mark.parametrize("command, hw, in_channels", [
+        ("ratefield", 64, 1), ("eval", 32, 3), ("ratefield", 32, 3)])
+    def test_checkpoint_for_other_input_shape(self, command, hw, in_channels,
+                                              corpus_dir, tmp_path, capsys):
+        ckpt = tmp_path / "other.asct"
+        spec = ModelSpec("ascnet7", 2, hw, hw, in_channels)
+        save_checkpoint(build_model(spec, 0), ckpt)
+        source = corpus_dir / "test"
+        argv = ["eval", "--ckpt", str(ckpt), "--data", str(corpus_dir)]
+        if command == "ratefield":
+            source = source / "img_0000.pgm"
+            argv = ["ratefield", "--ckpt", str(ckpt), "--image", str(source),
+                    "--out-prefix", str(tmp_path / "rf")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"{source}: images are 32x32x1" in captured.err, captured.err
+        assert f"checkpoint {ckpt} holds {hw}x{hw}x{in_channels}" in captured.err
+        assert captured.out == "" and not list(tmp_path.glob("rf.*"))
+
 
 class TestGradcheckCmd:
     @pytest.mark.parametrize("target", ["classic", "asc"])
@@ -485,7 +504,7 @@ class TestRateField:
         img = corpus_dir / "train" / "img_0000.pgm"
         assert main(["ratefield", "--ckpt", str(ckpt), "--image", str(img),
                      "--out-prefix", str(prefix)]) == 0
-        csv = data.load_rate_field_csv(str(prefix) + ".csv")
+        csv = np.loadtxt(str(prefix) + ".csv", delimiter=",", ndmin=2)
         assert np.all(csv == 1.0)
         assert (tmp_path / "rf.pgm").exists()
         assert (tmp_path / "rf.stats.txt").exists()

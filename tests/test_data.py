@@ -7,16 +7,14 @@ from hypothesis import strategies as st
 from ascnet import data
 from ascnet.data import (
     SynthConfig,
-    dice,
     export_rate_field,
     generate_synth,
     load_image_dir,
-    load_rate_field_csv,
-    precision,
+    overlap_counts,
+    overlap_metrics,
     preprocess,
     rate_stats,
     read_pgm,
-    recall,
     write_pgm,
 )
 
@@ -121,48 +119,56 @@ class TestGenerateSynth:
             generate_synth(small_cfg(large_per_image=(8, 8), max_place_tries=5))
 
 
+def metrics(pred_mask, true_mask):
+    return overlap_metrics(*overlap_counts(pred_mask, true_mask))
+
+
 class TestMetrics:
     def test_perfect_prediction(self):
         m = np.zeros((5, 5), bool)
         m[1:3, 1:3] = True
-        assert dice(m, m) == precision(m, m) == recall(m, m) == 1.0
+        r = metrics(m, m)
+        assert r["dice"] == r["precision"] == r["recall"] == 1.0
 
     def test_disjoint_nonempty(self):
         p = np.zeros((4, 4), bool)
         t = np.zeros((4, 4), bool)
         p[0, 0] = True
         t[3, 3] = True
-        assert dice(p, t) == precision(p, t) == recall(p, t) == 0.0
+        r = metrics(p, t)
+        assert r["dice"] == r["precision"] == r["recall"] == 0.0
 
     def test_half_overlap(self):
         p = np.zeros(6, bool)
         t = np.zeros(6, bool)
         p[:2] = True
         t[1:3] = True
-        assert dice(p, t) == 0.5
-        assert precision(p, t) == 0.5
-        assert recall(p, t) == 0.5
+        r = metrics(p, t)
+        assert r["dice"] == 0.5
+        assert r["precision"] == 0.5
+        assert r["recall"] == 0.5
 
     def test_empty_conventions(self):
         e = np.zeros(4, bool)
         f = np.array([True, False, False, False])
-        assert dice(e, e) == precision(e, e) == recall(e, e) == 1.0
-        assert dice(f, e) == 0.0 and dice(e, f) == 0.0
-        assert precision(e, f) == 0.0 and recall(f, e) == 0.0
+        r = metrics(e, e)
+        assert r["dice"] == r["precision"] == r["recall"] == 1.0
+        assert metrics(f, e)["dice"] == 0.0 and metrics(e, f)["dice"] == 0.0
+        assert metrics(e, f)["precision"] == 0.0 and metrics(f, e)["recall"] == 0.0
 
     def test_bounds_and_symmetry(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             p = rng.random(20) > 0.5
             t = rng.random(20) > 0.5
-            d = dice(p, t)
+            d = metrics(p, t)["dice"]
             assert 0.0 <= d <= 1.0
-            assert d == dice(t, p)
-            assert precision(p, t) == recall(t, p)
+            assert d == metrics(t, p)["dice"]
+            assert metrics(p, t)["precision"] == metrics(t, p)["recall"]
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
-            dice(np.zeros(3, bool), np.zeros(4, bool))
+            metrics(np.zeros(3, bool), np.zeros(4, bool))
 
 
 class TestPgm:
@@ -242,7 +248,7 @@ class TestRateFieldExport:
         export_rate_field(rates, prefix)
         pgm = read_pgm(str(prefix) + ".pgm")
         assert (pgm == pgm.flat[0]).all()
-        csv = load_rate_field_csv(str(prefix) + ".csv")
+        csv = np.loadtxt(str(prefix) + ".csv", delimiter=",", ndmin=2)
         assert np.all(csv == 2.5)
 
     def test_csv_round_trip_exact(self, tmp_path):
@@ -250,8 +256,8 @@ class TestRateFieldExport:
         rates = rng.uniform(0, 3, (1, 1, 6, 5)).astype(np.float32)
         prefix = tmp_path / "rf"
         export_rate_field(rates, prefix)
-        back = load_rate_field_csv(str(prefix) + ".csv").astype(np.float32)
-        assert np.array_equal(back, rates)
+        back = np.loadtxt(str(prefix) + ".csv", delimiter=",", ndmin=2)
+        assert np.array_equal(back.astype(np.float32), rates[0, 0])
 
     def test_scale_sidecar(self, tmp_path):
         rates = np.linspace(0.5, 2.0, 16, dtype=np.float64).reshape(1, 1, 4, 4)
