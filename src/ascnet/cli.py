@@ -148,6 +148,12 @@ def _cmd_train(args):
     cfg = training.TrainConfig(iterations=args.iters, lr=args.lr, seed=args.seed,
                                deterministic=args.deterministic,
                                log_every=args.log_every)
+    # The outputs are written only after the last iteration: a missing
+    # directory found then would cost the whole run.
+    for flag, path in (("--out", args.out), ("--report", args.report)):
+        if path and not Path(path).parent.is_dir():
+            raise ValueError(f"{flag} {path}: directory {Path(path).parent} "
+                             "does not exist")
     train_set, test_set, (spec,) = _load_corpus(args.data, [args.model])
     try:
         model, report = training.train(models.build_model(spec, cfg.seed),

@@ -63,8 +63,9 @@ class SynthConfig:
                 raise TypeError(f"{f.name}: {value!r} is not supported, "
                                 f"expected {'a pair of ' * pair}{kind}"
                                 f"{'s' * pair}")
-        for name, least in (("num_train", 0), ("num_test", 0), ("seed", 0),
-                            ("noise_sigma", 0), ("max_place_tries", 1)):
+        for name, least in (("height", 32), ("width", 32), ("num_train", 0),
+                            ("num_test", 0), ("seed", 0), ("noise_sigma", 0),
+                            ("max_place_tries", 1)):
             value = getattr(self, name)
             if value < least:
                 raise ValueError(f"{name}: {value!r} must be >= {least}")
@@ -80,8 +81,6 @@ class SynthConfig:
             if not 0 <= lo <= hi:
                 raise ValueError(f"{name}: {value!r} must be an ordered pair "
                                  "of counts >= 0")
-        if self.height < 32 or self.width < 32:
-            raise ValueError("image dims must be >= 32")
         limit = min(self.height, self.width) / 2 - 1  # room for r + 1 each side
         for name in ("small_radius", "large_radius"):
             lo, hi = value = getattr(self, name)
@@ -91,7 +90,9 @@ class SynthConfig:
                 raise ValueError(f"{name} upper end {hi} exceeds min(height, "
                                  f"width) / 2 - 1 = {limit}: no disk fits")
         if self.small_radius[1] >= self.large_radius[0]:
-            raise ValueError("small and large radius ranges must be disjoint")
+            raise ValueError(f"small_radius: {self.small_radius!r} and "
+                             f"large_radius: {self.large_radius!r} must be "
+                             "disjoint")
 
 
 def _is_number(value, integral: bool) -> bool:

@@ -272,6 +272,12 @@ def load_checkpoint(path) -> Model:
         spec = ModelSpec(variant, num_classes, h, w, in_channels)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    # num_classes sizes the logits layer: match it against the file before
+    # build_model allocates that layer.
+    logits = f"layer{len(VARIANT_LAYERS[variant][1])}.weight"
+    if logits not in tensors or tensors[logits].shape[:1] != (num_classes,):
+        raise ValueError(f"{path}: 'spec' gives {num_classes} classes, but the "
+                         f"checkpoint holds no {logits} with that many rows")
     model = build_model(spec, rng=0, dtype=first.dtype)
     for name, arr in param_dict(model).items():
         if name not in tensors:

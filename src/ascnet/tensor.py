@@ -81,36 +81,17 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     npix = h * w
     loss = float(-logp[lab, rows, cols].sum() / npix)
 
-    grad = probs.copy()
-    grad[lab, rows, cols] -= 1.0
-    grad /= npix
-    return loss, grad.reshape(1, c, h, w)
-
-
-def adam_step(param, grad, m, v, t, lr=1e-3):
-    """One Adam update with bias correction (`BETA1`, `BETA2`, `EPS`).
-
-    Returns new (param, m, v); inputs are not mutated. t is 1-based.
-    """
-    if not (param.shape == grad.shape == m.shape == v.shape):
-        raise ValueError(
-            f"shape mismatch: param {param.shape}, grad {grad.shape}, "
-            f"m {m.shape}, v {v.shape}"
-        )
-    if t < 1:
-        raise ValueError("step index t must be >= 1")
-    m = BETA1 * m + (1.0 - BETA1) * grad
-    v = BETA2 * v + (1.0 - BETA2) * grad * grad
-    m_hat = m / (1.0 - BETA1 ** t)
-    v_hat = v / (1.0 - BETA2 ** t)
-    param = param - lr * m_hat / (np.sqrt(v_hat) + EPS)
-    return param, m, v
+    probs[lab, rows, cols] -= 1.0
+    probs /= npix
+    return loss, probs.reshape(1, c, h, w)
 
 
 class Adam:
-    """Adam over a dict of named parameter arrays, updated in place."""
+    """Adam with bias correction (`BETA1`, `BETA2`, `EPS`) over a dict of
+    named parameter arrays. Each step updates the parameters and their
+    moment arrays in place."""
 
-    def __init__(self, params: dict, lr=1e-3):
+    def __init__(self, params: dict, lr):
         self.params = params
         self.lr = lr
         self.t = 0
@@ -120,9 +101,17 @@ class Adam:
     def step(self, grads: dict) -> None:
         self.t += 1
         for name, p in self.params.items():
-            new_p, self.m[name], self.v[name] = adam_step(
-                p, grads[name], self.m[name], self.v[name], self.t, self.lr)
-            p[...] = new_p
+            g, m, v = grads[name], self.m[name], self.v[name]
+            if g.shape != p.shape:
+                raise ValueError(f"gradient of {name} has shape {g.shape}, "
+                                 f"expected {p.shape}")
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            m_hat = m / (1.0 - BETA1 ** self.t)
+            v_hat = v / (1.0 - BETA2 ** self.t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def save_tensors(path, tensors: dict) -> None:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ascnet import data, models
+from ascnet import data, models, training
 from ascnet.cli import main
 from ascnet.models import ModelSpec, build_model, save_checkpoint
 
@@ -121,6 +121,9 @@ class TestSynth:
         ('{"small_radius": [4, 2]}', "small_radius"),
         ('{"background_level": 3.0, "foreground_level": 7.0}', "background_level"),
         ('{"foreground_level": -0.5}', "foreground_level"),
+        ('{"height": 16}', "height"),
+        ('{"width": 31}', "width"),
+        ('{"small_radius": [2, 12]}', "small_radius"),
     ])
     def test_config_value_out_of_range_names_file_and_field(
             self, tmp_path, capsys, text, field):
@@ -198,6 +201,24 @@ class TestTrainEval:
         assert rc == 2
         assert "training diverged at iteration 1" in capsys.readouterr().err
         assert not (tmp_path / "m.asct").exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--report"])
+    def test_missing_output_directory_refused_before_training(
+            self, corpus_dir, tmp_path, capsys, monkeypatch, flag):
+        def never(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(training, "train", never)
+        paths = {"--out": tmp_path / "m.asct", "--report": tmp_path / "rep.csv"}
+        paths[flag] = missing = tmp_path / "missing" / "x"
+        rc = main(["train", "--model", "classic7", "--data", str(corpus_dir),
+                   "--iters", "2", "--out", str(paths["--out"]),
+                   "--report", str(paths["--report"])])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"{flag} {missing}: " in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_eval_with_non_finite_rates_fails_cleanly(self, corpus_dir, tmp_path,
                                                       capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -237,6 +239,27 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert main(["eval", "--ckpt", str(path), "--data", str(tmp_path)]) == 2
         assert f"ckpt.asct: unknown variant id {vid}" in capsys.readouterr().err
+
+    def test_num_classes_checked_before_the_model_is_built(self, tmp_path,
+                                                           capsys):
+        from ascnet.cli import main
+
+        m = build_model(ModelSpec("classic7", height=16, width=16), 0)
+        tensors = {"spec": np.array([0, 100000, 16, 16], dtype=np.float32)}
+        tensors.update(models.param_dict(m))
+        path = tmp_path / "ckpt.asct"
+        tensor.save_tensors(path, tensors)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"ckpt\.asct: .*layer6\.weight"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Building the 100000-class logits layer would take about 87 MB.
+        assert peak < 8 * 2**20
+        assert main(["eval", "--ckpt", str(path), "--data", str(tmp_path)]) == 2
+        assert "layer6.weight" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec,message", [
         ([0, 2, 16], "malformed 'spec'"),

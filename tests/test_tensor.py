@@ -91,20 +91,20 @@ class TestSoftmaxCrossEntropy:
 
 class TestAdam:
     def test_first_step_is_signed_lr(self):
-        p = np.array([1.0, -1.0, 0.5])
+        p = {"w": np.array([1.0, -1.0, 0.5])}
         g = np.array([0.3, -0.2, 0.7])
-        newp, _, _ = tensor.adam_step(p, g, np.zeros(3), np.zeros(3), 1, lr=1e-3)
-        delta = newp - p
+        before = p["w"].copy()
+        tensor.Adam(p, lr=1e-3).step({"w": g})
+        delta = p["w"] - before
         assert np.allclose(delta, -1e-3 * np.sign(g), atol=1e-7)
 
     def test_zero_gradient_is_noop(self):
-        p = np.array([1.0, 2.0])
-        m = np.zeros(2)
-        v = np.zeros(2)
-        for t in range(1, 5):
-            p, m, v = tensor.adam_step(p, np.zeros(2), m, v, t)
-        assert np.array_equal(p, [1.0, 2.0])
-        assert np.array_equal(m, np.zeros(2))
+        p = {"w": np.array([1.0, 2.0])}
+        opt = tensor.Adam(p, lr=1e-3)
+        for _ in range(4):
+            opt.step({"w": np.zeros(2)})
+        assert np.array_equal(p["w"], [1.0, 2.0])
+        assert np.array_equal(opt.m["w"], np.zeros(2))
 
     def test_three_step_scalar_recurrence(self):
         # Independent oracle: the Adam recurrence hand-rolled on a scalar.
@@ -118,22 +118,31 @@ class TestAdam:
             vh = v / (1 - b2 ** t)
             theta -= lr * mh / (math.sqrt(vh) + eps)
 
-        p = np.array([1.0])
-        ms = np.zeros(1)
-        vs = np.zeros(1)
-        for t in range(1, 4):
-            p, ms, vs = tensor.adam_step(p, np.ones(1), ms, vs, t)
-        assert p[0] == pytest.approx(theta, rel=1e-14)
+        p = {"w": np.array([1.0])}
+        opt = tensor.Adam(p, lr=lr)
+        for _ in range(3):
+            opt.step({"w": np.ones(1)})
+        assert p["w"][0] == pytest.approx(theta, rel=1e-14)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            tensor.adam_step(np.zeros(2), np.zeros(3), np.zeros(2), np.zeros(2), 1)
+        opt = tensor.Adam({"w": np.zeros(2)}, lr=1e-3)
+        with pytest.raises(ValueError, match="gradient of w"):
+            opt.step({"w": np.zeros(3)})
 
     def test_optimizer_class_updates_in_place(self):
         p = {"w": np.ones(3)}
         opt = tensor.Adam(p, lr=1e-2)
         opt.step({"w": np.ones(3)})
         assert np.all(p["w"] < 1.0)
+
+    def test_steps_keep_parameter_and_moment_arrays(self):
+        p = {"w": np.ones(3, dtype=np.float32)}
+        opt = tensor.Adam(p, lr=1e-2)
+        held = (p["w"], opt.m["w"], opt.v["w"])
+        for _ in range(2):
+            opt.step({"w": np.full(3, 0.5, dtype=np.float32)})
+        assert all(a is b for a, b in zip((p["w"], opt.m["w"], opt.v["w"]), held))
+        assert np.all(opt.m["w"] > 0) and np.all(opt.v["w"] > 0)
 
 
 class TestRng:
