@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -168,6 +169,19 @@ class TestDilatedConv:
         with pytest.raises(ValueError, match="rate"):
             make_layer(rng, 1, 1, convops.DILATED, rate=0)
 
+    @pytest.mark.parametrize("rate", [2.5, np.float64(2.0), True])
+    def test_rate_that_is_not_an_integer_rejected(self, rate):
+        with pytest.raises(ValueError, match=re.escape(f"got {rate!r}")):
+            make_layer(RNG(0), 1, 1, convops.DILATED, rate=rate)
+
+    def test_numpy_integer_rate_accepted(self):
+        rng = RNG(7)
+        x = rng.standard_normal((1, 2, 9, 9))
+        layer = make_layer(rng, 2, 2, convops.DILATED, rate=np.int64(4))
+        plain = ConvLayer(layer.weights, layer.bias, convops.DILATED, rate=4)
+        assert np.array_equal(conv_dilated_forward(x, layer),
+                              conv_dilated_forward(x, plain))
+
 
 class TestAscForward:
     def test_rate_one_bit_identical_to_classic(self):
@@ -318,6 +332,30 @@ class TestIntConvBackward:
         assert rel_err(gx, fd_grad(loss, x, h)) < 1e-6
         assert rel_err(gw, fd_grad(loss, layer.weights, h)) < 1e-6
         assert rel_err(gb, fd_grad(loss, layer.bias, h)) < 1e-6
+
+    # Non-square maps of 1-12 px a side and rates up to 14, so some taps
+    # shift by a side or more and every row edge is crossed.
+    @settings(max_examples=100)
+    @given(h=st.integers(1, 12), w=st.integers(1, 12), c=st.integers(1, 4),
+           out_c=st.integers(1, 3), rate=st.integers(1, 14),
+           seed=st.integers(0, 2**32 - 1))
+    def test_dilated_backward_at_any_shape(self, h, w, c, out_c, rate, seed):
+        rng = RNG(seed)
+        x = rng.standard_normal((1, c, h, w))
+        layer = make_layer(rng, out_c, c, convops.DILATED, rate)
+        g = rng.standard_normal((1, out_c, h, w))
+        y = conv_dilated_forward(x, layer)
+        gx, gw, gb = conv_dilated_backward(x, layer, g)
+        y -= layer.bias[:, None, None]
+        lhs = float(np.vdot(y, g))
+        scale = float(np.abs(y * g).sum()) + 1e-300
+        assert abs(lhs - float(np.vdot(x, gx))) <= 1e-12 * scale
+        assert abs(lhs - float(np.vdot(layer.weights, gw))) <= 1e-12 * scale
+        # The adaptive operator at the same constant integer rate.
+        a = ConvLayer(layer.weights, layer.bias, convops.ADAPTIVE)
+        agx, agw, agb, _ = asc_conv_backward(x, a, np.full((1, 1, h, w), float(rate)), g)
+        assert gw.tobytes() == agw.tobytes() and gb.tobytes() == agb.tobytes()
+        assert np.allclose(gx, agx, rtol=0, atol=1e-12)
 
     def test_dilated_rate_one_equals_classic_backward(self):
         rng = RNG(3)
