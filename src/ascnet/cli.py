@@ -148,12 +148,24 @@ def _cmd_train(args):
     cfg = training.TrainConfig(iterations=args.iters, lr=args.lr, seed=args.seed,
                                deterministic=args.deterministic,
                                log_every=args.log_every)
-    # The outputs are written only after the last iteration: a missing
-    # directory found then would cost the whole run.
-    for flag, path in (("--out", args.out), ("--report", args.report)):
-        if path and not Path(path).parent.is_dir():
+    # The outputs are written only after the last iteration: a bad path
+    # found then would cost the whole run, and two outputs on one file
+    # would leave only the last one written.
+    outputs = [("--out", args.out)]
+    if args.report:
+        outputs += [("--report", args.report),
+                    ("--report metrics file", str(args.report) + ".metrics.txt")]
+    claimed = {}
+    for flag, path in outputs:
+        if not Path(path).parent.is_dir():
             raise ValueError(f"{flag} {path}: directory {Path(path).parent} "
                              "does not exist")
+        if Path(path).is_dir():
+            raise ValueError(f"{flag} {path}: is a directory")
+        key = Path(path).resolve()
+        if key in claimed:
+            raise ValueError(f"{flag} {path}: same file as {claimed[key]}")
+        claimed[key] = f"{flag} {path}"
     train_set, test_set, (spec,) = _load_corpus(args.data, [args.model])
     try:
         model, report = training.train(models.build_model(spec, cfg.seed),

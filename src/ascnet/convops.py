@@ -37,7 +37,7 @@ class ConvLayer:
     weights: np.ndarray
     bias: np.ndarray
     kind: str = CLASSIC
-    rate: int = 1  # integer dilation, only meaningful for kind == "dilated"
+    rate: int = 1  # integer dilation; only a dilated layer's may exceed 1
 
     def __post_init__(self):
         w = self.weights
@@ -53,6 +53,8 @@ class ConvLayer:
         r = self.rate
         if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 1:
             raise ValueError(f"dilation rate must be an integer >= 1, got {r!r}")
+        if r != 1 and self.kind != DILATED:
+            raise ValueError(f"a {self.kind} layer has dilation rate 1, got {r!r}")
 
     @property
     def out_channels(self):
@@ -176,36 +178,36 @@ def _cols_to_image(grad_cols: np.ndarray, rate: int, h: int, w: int):
 
 # Integer taps are flat shifted copies of the image: the sampling operator
 # gives the same columns at several times the cost per layer.
-def _int_forward(x, layer, kind, rate):
+def _int_forward(x, layer, kind):
     x3 = _check_input(x, layer, kind)
-    return _contract(_integer_cols(x3, rate), layer).reshape(1, -1, *x3.shape[1:])
+    return _contract(_integer_cols(x3, layer.rate), layer).reshape(1, -1, *x3.shape[1:])
 
 
-def _int_backward(x, layer, grad_y, kind, rate):
+def _int_backward(x, layer, grad_y, kind):
     x3 = _check_input(x, layer, kind, grad_y)
     c, h, w = x3.shape
     g = grad_y.reshape(layer.out_channels, h * w)
     # The input columns are freed before the gradient columns are formed,
     # so only one (C, 9, H*W) array is alive at a time.
-    grad_w, grad_b = _param_grads(_integer_cols(x3, rate), layer, g)
+    grad_w, grad_b = _param_grads(_integer_cols(x3, layer.rate), layer, g)
     grad_cols = layer.weights.reshape(layer.out_channels, c * 9).T @ g
-    return _cols_to_image(grad_cols.reshape(c, 9, -1), rate, h, w), grad_w, grad_b
+    return _cols_to_image(grad_cols.reshape(c, 9, -1), layer.rate, h, w), grad_w, grad_b
 
 
 def conv_classic_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
-    return _int_forward(x, layer, CLASSIC, 1)
+    return _int_forward(x, layer, CLASSIC)
 
 
 def conv_dilated_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
-    return _int_forward(x, layer, DILATED, layer.rate)
+    return _int_forward(x, layer, DILATED)
 
 
 def conv_classic_backward(x, layer, grad_y):
-    return _int_backward(x, layer, grad_y, CLASSIC, 1)
+    return _int_backward(x, layer, grad_y, CLASSIC)
 
 
 def conv_dilated_backward(x, layer, grad_y):
-    return _int_backward(x, layer, grad_y, DILATED, layer.rate)
+    return _int_backward(x, layer, grad_y, DILATED)
 
 
 @dataclass

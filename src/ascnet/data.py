@@ -196,6 +196,12 @@ def overlap_metrics(inter, np_, nt) -> dict:
 # --- PGM (binary P5, 8- or 16-bit big-endian) ---------------------------
 
 
+# One header token (width, height or maxval) after the magic: whitespace and
+# '#' comments, which run to end of line and may follow a token directly,
+# come before it; one whitespace byte after maxval ends the header.
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*\n)*([^\s#]+)")
+
+
 def write_pgm(path, values: np.ndarray, maxval: int = 65535) -> None:
     """Write a 2-D integer array as binary PGM (P5)."""
     values = np.asarray(values)
@@ -221,27 +227,13 @@ def read_pgm(path) -> np.ndarray:
         data = f.read()
     if not data.startswith(b"P5"):
         raise ValueError(f"{path}: not a binary PGM (P5) file")
-    # Header tokens (magic, width, height, maxval) separated by whitespace
-    # and '#' comments, which run to end of line and may follow a token
-    # directly; one whitespace byte ends the header.
-    tokens = []
-    pos = 2
-    while len(tokens) < 3:
-        while data[pos:pos + 1].isspace():
-            pos += 1
-        if data[pos:pos + 1] == b"#":
-            pos = data.find(b"\n", pos) + 1
-            if pos == 0:
-                break
-            continue
-        start = pos
-        while pos < len(data) and data[pos] not in b" \t\n\r\x0b\x0c#":
-            pos += 1
-        if pos == len(data):
-            break
-        tokens.append(data[start:pos])
-    if len(tokens) < 3:
-        raise ValueError(f"{path}: truncated PGM header")
+    tokens, pos = [], 2
+    for _ in range(3):
+        m = _PGM_TOKEN.match(data, pos)
+        if m is None or m.end() == len(data):
+            raise ValueError(f"{path}: truncated PGM header")
+        tokens.append(m[1])
+        pos = m.end()
     if not all(t.isdigit() for t in tokens):
         raise ValueError(f"{path}: PGM header fields must be decimal "
                          f"integers, got {b' '.join(tokens)!r}")

@@ -172,6 +172,8 @@ def load_tensors(path) -> dict:
             name = raw_name.decode("utf-8")
         except UnicodeDecodeError:
             fail(off, "tensor name is not UTF-8")
+        if name in out:
+            fail(off, f"repeated tensor name '{name}'")
         off += nlen
         code, ndim = unpack("<BB", off, f"header of '{name}'")
         if code not in _CODE_DTYPE:

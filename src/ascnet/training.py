@@ -215,9 +215,8 @@ def _check_conv(kind, seed, h, tol, rates=None):
     integer."""
     rng = tensor.make_rng(seed)
     x = rng.standard_normal((1, 2, 6, 6))
-    # Only a dilated layer reads the rate.
-    layer = convops.ConvLayer(rng.standard_normal((3, 2, 3, 3)),
-                              rng.standard_normal(3), kind, rate=2)
+    layer = convops.ConvLayer(rng.standard_normal((3, 2, 3, 3)), rng.standard_normal(3),
+                              kind, rate=2 if kind == convops.DILATED else 1)
     adaptive = kind == convops.ADAPTIVE
     if adaptive and rates is None:
         rates = offkink_rates(rng, (1, 1, 6, 6))

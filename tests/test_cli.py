@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ascnet import data, models, training
+from ascnet import data, models, tensor, training
 from ascnet.cli import main
 from ascnet.models import ModelSpec, build_model, save_checkpoint
 
@@ -202,13 +202,16 @@ class TestTrainEval:
         assert "training diverged at iteration 1" in capsys.readouterr().err
         assert not (tmp_path / "m.asct").exists()
 
-    @pytest.mark.parametrize("flag", ["--out", "--report"])
-    def test_missing_output_directory_refused_before_training(
-            self, corpus_dir, tmp_path, capsys, monkeypatch, flag):
+    @pytest.fixture
+    def no_training(self, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("training started")
 
         monkeypatch.setattr(training, "train", never)
+
+    @pytest.mark.parametrize("flag", ["--out", "--report"])
+    def test_missing_output_directory_refused_before_training(
+            self, corpus_dir, tmp_path, capsys, no_training, flag):
         paths = {"--out": tmp_path / "m.asct", "--report": tmp_path / "rep.csv"}
         paths[flag] = missing = tmp_path / "missing" / "x"
         rc = main(["train", "--model", "classic7", "--data", str(corpus_dir),
@@ -219,6 +222,30 @@ class TestTrainEval:
         assert f"{flag} {missing}: " in captured.err
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("out, report, flag, path, message", [
+        ("m", "m", "--report", "m", "same file as --out"),
+        ("d/../m", "m", "--report", "m", "same file as --out"),
+        ("r.metrics.txt", "r", "--report metrics file", "r.metrics.txt",
+         "same file as --out"),
+        ("d", None, "--out", "d", "is a directory"),
+        ("m", "d", "--report", "d", "is a directory"),
+    ])
+    def test_directory_or_shared_output_refused_before_training(
+            self, corpus_dir, tmp_path, capsys, no_training, out, report, flag,
+            path, message):
+        (tmp_path / "d").mkdir()
+        argv = ["train", "--model", "classic7", "--data", str(corpus_dir),
+                "--iters", "2", "--out", str(tmp_path / out)]
+        if report:
+            argv += ["--report", str(tmp_path / report)]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"{flag} {tmp_path / path}: {message}" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [tmp_path / "d"]
+        assert list((tmp_path / "d").iterdir()) == []
 
     def test_eval_with_non_finite_rates_fails_cleanly(self, corpus_dir, tmp_path,
                                                       capsys):
@@ -258,6 +285,20 @@ class TestTrainEval:
         train_set, _ = data.generate_synth(cfg)
         data.write_samples(train_set, other)
         assert main(["eval", "--ckpt", str(trained_ckpt), "--data", str(other)]) == 2
+
+    def test_eval_rejects_repeated_tensor(self, corpus_dir, tmp_path, capsys):
+        # A second, all-zero layer0.weight appended to a valid checkpoint.
+        ckpt, extra = tmp_path / "dup.asct", tmp_path / "extra.asct"
+        model = build_model(ModelSpec("classic7", 2, 32, 32), 0)
+        save_checkpoint(model, ckpt)
+        first = model.layers[0].weights
+        tensor.save_tensors(extra, {"layer0.weight": np.zeros_like(first)})
+        blob = bytearray(ckpt.read_bytes())
+        count = int.from_bytes(blob[6:10], "little")
+        blob[6:10] = (count + 1).to_bytes(4, "little")
+        ckpt.write_bytes(bytes(blob) + extra.read_bytes()[10:])
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(corpus_dir)]) == 2
+        assert "repeated tensor name 'layer0.weight'" in capsys.readouterr().err
 
     def test_untrained_metrics_bounded(self, corpus_dir, tmp_path, capsys):
         ckpt = tmp_path / "fresh.asct"

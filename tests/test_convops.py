@@ -174,6 +174,13 @@ class TestDilatedConv:
         with pytest.raises(ValueError, match=re.escape(f"got {rate!r}")):
             make_layer(RNG(0), 1, 1, convops.DILATED, rate=rate)
 
+    @pytest.mark.parametrize("kind", [convops.CLASSIC, convops.ADAPTIVE])
+    @pytest.mark.parametrize("rate", [4, np.int64(2)])
+    def test_rate_other_than_one_rejected_unless_dilated(self, kind, rate):
+        message = f"a {kind} layer has dilation rate 1, got {rate!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_layer(RNG(0), 1, 1, kind, rate=rate)
+
     def test_numpy_integer_rate_accepted(self):
         rng = RNG(7)
         x = rng.standard_normal((1, 2, 9, 9))

@@ -349,3 +349,15 @@ class TestPgmProperties:
         out = read_pgm(path)
         assert out.shape == (h, w) and out.dtype.itemsize == dtype.itemsize
         assert np.array_equal(out, values)
+
+    @given(tail=st.binary(max_size=64))
+    def test_arbitrary_bytes_give_array_or_named_error(self, tmp_path_factory,
+                                                       tail):
+        path = tmp_path_factory.mktemp("pgm") / "x.pgm"
+        path.write_bytes(b"P5" + tail)
+        try:
+            out = read_pgm(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
+        else:
+            assert out.ndim == 2 and out.dtype in (np.uint8, np.uint16)

@@ -218,6 +218,19 @@ class TestContainer:
         with pytest.raises(ValueError, match="dtype code 7 .* at offset 13"):
             tensor.load_tensors(path)
 
+    def test_repeated_name_rejected(self, tmp_path):
+        # save_tensors writes a dict, so only a hand-made file repeats a name.
+        path = tmp_path / "t.asct"
+        tensor.save_tensors(path, {"x": np.ones(2, dtype=np.float32),
+                                   "y": np.zeros(2, dtype=np.float32)})
+        blob = bytearray(path.read_bytes())
+        off = blob.index(b"y")
+        blob[off] = ord("x")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError,
+                           match=rf"t\.asct: repeated tensor name 'x' at offset {off}"):
+            tensor.load_tensors(path)
+
     def test_cli_short_file_exits_2_with_message(self, tmp_path, capsys):
         from ascnet.cli import main
 
