@@ -23,10 +23,10 @@ from . import tensor
 
 @dataclass
 class SegmentationSample:
-    image: np.ndarray                 # (1,1,H,W) float32, preprocessed
-    labels: np.ndarray                # (1,H,W) integer class per pixel
+    image: np.ndarray                 # (1,1,H,W) float32, decoded pixels
+    labels: np.ndarray                # (1,H,W) uint8 class per pixel
     meta: list                        # [(cy, cx, radius), ...]
-    raw: np.ndarray                   # (H,W) float in [0,1], pre-normalization
+    pixels: np.ndarray                # (H,W) uint8/uint16 PGM samples
 
 
 @dataclass
@@ -144,7 +144,7 @@ def _render_sample(rng, cfg, name) -> SegmentationSample:
     disks = _place_disks(rng, cfg)
     yy, xx = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     raw = np.full((h, w), cfg.background_level, dtype=np.float64)
-    labels = np.zeros((h, w), dtype=np.int64)
+    labels = np.zeros((h, w), dtype=np.uint8)
     for cy, cx, radius in disks:
         dist = np.hypot(yy - cy, xx - cx)
         labels[dist <= radius] = 1
@@ -152,13 +152,14 @@ def _render_sample(rng, cfg, name) -> SegmentationSample:
         raw[ring] = cfg.foreground_level
     raw = raw + rng.normal(0.0, cfg.noise_sigma, size=(h, w))
     raw = np.clip(raw, 0.0, 1.0)
+    # Through float32: the corpus file's bytes depend on it.
+    pixels = np.round(raw.astype(np.float32) * 65535).astype(np.uint16)
     try:
-        image = preprocess(raw).reshape(1, 1, h, w)
+        image = decode(pixels, name)
     except ValueError as exc:
-        raise ValueError(f"{name}: {exc}; noise_sigma: {cfg.noise_sigma!r} "
+        raise ValueError(f"{exc}; noise_sigma: {cfg.noise_sigma!r} "
                          "adds no variance to it") from None
-    return SegmentationSample(image, labels.reshape(1, h, w), disks,
-                              raw.astype(np.float32))
+    return SegmentationSample(image, labels.reshape(1, h, w), disks, pixels)
 
 
 def generate_synth(cfg: SynthConfig):
@@ -322,10 +323,9 @@ def write_samples(samples, directory) -> None:
         writer = csv.writer(f)
         writer.writerow(["index", "cy", "cx", "radius"])
         for i, s in enumerate(samples):
-            q = np.round(np.clip(s.raw, 0.0, 1.0) * 65535).astype(np.uint16)
-            write_pgm(directory / f"img_{i:04d}.pgm", q, maxval=65535)
-            write_pgm(directory / f"lbl_{i:04d}.pgm",
-                      s.labels.reshape(q.shape).astype(np.uint8), maxval=255)
+            write_pgm(directory / f"img_{i:04d}.pgm", s.pixels,
+                      maxval=np.iinfo(s.pixels.dtype).max)
+            write_pgm(directory / f"lbl_{i:04d}.pgm", s.labels[0], maxval=255)
             for cy, cx, radius in s.meta:
                 writer.writerow([i, _fmt(cy), _fmt(cx), _fmt(radius)])
 
@@ -339,20 +339,18 @@ def label_path(img_path):
     return img_path.with_name("lbl_" + img_path.name[len("img_"):])
 
 
-def read_image(path):
-    """Decode a PGM image: returns the preprocessed (1,1,H,W) float32
-    image and the (H,W) raw intensities in [0, 1]."""
-    img = read_pgm(path)
-    raw = img.astype(np.float32) / np.iinfo(img.dtype).max
+def decode(pixels, source):
+    """The (1,1,H,W) float32 image of PGM `pixels`; errors name `source`."""
     try:
-        image = preprocess(raw)
+        image = preprocess(pixels.astype(np.float32)
+                           / np.iinfo(pixels.dtype).max)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return image.reshape(1, 1, *raw.shape), raw
+        raise ValueError(f"{source}: {exc}") from None
+    return image.reshape(1, 1, *pixels.shape)
 
 
 def read_label(path, dims):
-    """Read a label PGM as int64 classes, checking it has the image's
+    """Read a label PGM as uint8 classes, checking it has the image's
     (H, W) `dims` and only the values 0 (background) and 1 (object)."""
     lbl = read_pgm(path)
     if lbl.shape != dims:
@@ -362,7 +360,7 @@ def read_label(path, dims):
         y, x = np.argwhere(lbl > 1)[0]
         raise ValueError(f"{path}: label value {lbl[y, x]} at pixel ({y},{x}) "
                          "is not 0 or 1")
-    return lbl.astype(np.int64)
+    return lbl
 
 
 def image_index(path) -> int:
@@ -403,21 +401,26 @@ def load_image_dir(path) -> list:
     meta_path = path / "meta.csv"
     meta_by_index = read_meta(meta_path) if meta_path.exists() else {}
 
-    samples = []
+    samples, path_of = [], {}
     for img_path in imgs:
         idx = image_index(img_path)
+        if idx in path_of:
+            raise ValueError(f"{img_path}: sample index {idx} is also that of "
+                             f"{path_of[idx]}")
+        path_of[idx] = img_path
         lbl_path = label_path(img_path)
         if not lbl_path.exists():
             raise ValueError(f"{img_path}: missing label file {lbl_path.name}")
-        image, raw = read_image(img_path)
-        if samples and raw.shape != samples[0].raw.shape:
-            raise ValueError(f"{img_path}: image dims {raw.shape} differ from "
-                             f"{samples[0].raw.shape} of {imgs[0].name}")
-        lbl = read_label(lbl_path, raw.shape)
+        pixels = read_pgm(img_path)
+        image = decode(pixels, img_path)
+        if samples and pixels.shape != samples[0].pixels.shape:
+            raise ValueError(f"{img_path}: image dims {pixels.shape} differ "
+                             f"from {samples[0].pixels.shape} of {imgs[0].name}")
+        lbl = read_label(lbl_path, pixels.shape)
         samples.append(SegmentationSample(
             image,
             lbl.reshape(1, *lbl.shape),
             meta_by_index.get(idx, []),
-            raw,
+            pixels,
         ))
     return samples

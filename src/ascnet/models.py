@@ -74,15 +74,6 @@ class RateNetwork:
 
     layers: list
 
-    def __post_init__(self):
-        if len(self.layers) != 3:
-            raise ValueError("rate network must have exactly 3 layers")
-        out_ch = tuple(l.out_channels for l in self.layers)
-        if out_ch != RATE_NET_CHANNELS:
-            raise ValueError(
-                f"rate network channels must be {RATE_NET_CHANNELS}, got {out_ch}"
-            )
-
 
 @dataclass
 class Model:
@@ -279,7 +270,14 @@ def load_checkpoint(path) -> Model:
         raise ValueError(f"{path}: 'spec' gives {num_classes} classes, but the "
                          f"checkpoint holds no {logits} with that many rows")
     model = build_model(spec, rng=0, dtype=first.dtype)
-    for name, arr in param_dict(model).items():
+    params = param_dict(model)
+    # A tensor the model has no parameter for is another variant's or a
+    # misspelt one: loading without it would silently drop weights.
+    extra = sorted(set(tensors) - set(params) - {"spec"})
+    if extra:
+        raise ValueError(f"{path}: {variant} has no parameter for tensor(s) "
+                         f"{', '.join(extra)}")
+    for name, arr in params.items():
         if name not in tensors:
             raise ValueError(f"{path}: checkpoint missing parameter {name}")
         if tensors[name].shape != arr.shape:

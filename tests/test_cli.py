@@ -398,6 +398,21 @@ class TestCorpusErrors:
         assert f"{meta}:3" in capsys.readouterr().err
 
 
+    def test_two_names_one_index(self, corpus_copy, tmp_path, capsys):
+        train_dir = corpus_copy / "train"
+        for prefix in ("img", "lbl"):
+            (train_dir / f"{prefix}_1.pgm").write_bytes(
+                (train_dir / f"{prefix}_0001.pgm").read_bytes())
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["train", "--model", "classic7", "--data", str(corpus_copy),
+                     "--iters", "1", "--out", str(out / "m.asct"),
+                     "--report", str(out / "rep.csv")]) == 2
+        captured = capsys.readouterr()
+        assert (f"{train_dir / 'img_1.pgm'}: sample index 1 is also that of "
+                f"{train_dir / 'img_0001.pgm'}" in captured.err)
+        assert captured.out == "" and not list(out.iterdir())
+
     def test_mis_sized_label(self, corpus_copy, tmp_path, capsys):
         lbl = corpus_copy / "test" / "lbl_0000.pgm"
         data.write_pgm(lbl, np.zeros((16, 16), dtype=np.uint8), maxval=255)

@@ -288,9 +288,32 @@ class TestCorpusIO:
         loaded = load_image_dir(tmp_path / "train")
         assert len(loaded) == len(train)
         for a, b in zip(train, loaded):
-            assert np.array_equal(a.labels, b.labels)
-            assert np.abs(a.raw - b.raw).max() <= 1.0 / 65535
+            # A generated sample is its written-then-read form bit for bit.
+            for field in ("pixels", "image", "labels"):
+                x, y = getattr(a, field), getattr(b, field)
+                assert x.dtype == y.dtype and np.array_equal(x, y), field
             assert a.meta == pytest.approx(b.meta)
+
+    def test_8bit_corpus_rewrites_byte_identical(self, tmp_path):
+        train, _ = generate_synth(small_cfg(seed=5))
+        src = tmp_path / "src"
+        data.write_samples(train, src)
+        for img in src.glob("img_*.pgm"):
+            write_pgm(img, (read_pgm(img) >> 8).astype(np.uint8), 255)
+        data.write_samples(load_image_dir(src), tmp_path / "out")
+        names = sorted(p.name for p in src.iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "out").iterdir())
+        for name in names:
+            assert ((tmp_path / "out" / name).read_bytes()
+                    == (src / name).read_bytes()), name
+
+    def test_loaded_samples_hold_file_bits(self, tmp_path):
+        train, _ = generate_synth(small_cfg(seed=6))
+        data.write_samples(train, tmp_path)
+        for s in load_image_dir(tmp_path):
+            assert s.labels.dtype == np.uint8 and s.pixels.dtype == np.uint16
+            held = s.image.nbytes + s.labels.nbytes + s.pixels.nbytes
+            assert held <= 7 * s.pixels.size
 
     def test_empty_directory_errors(self, tmp_path):
         with pytest.raises(ValueError, match="no img_"):

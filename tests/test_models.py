@@ -261,6 +261,29 @@ class TestCheckpoint:
         assert main(["eval", "--ckpt", str(path), "--data", str(tmp_path)]) == 2
         assert "layer6.weight" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("variant,extra,named", [
+        # An ascnet7 file whose spec says classic7 keeps its rate network.
+        ("ascnet7", {}, [f"ratenet.layer{j}.{p}" for j in range(3)
+                         for p in ("bias", "weight")]),
+        ("classic7", {"layer0.wieght": np.zeros((8, 1, 3, 3), np.float32)},
+         ["layer0.wieght"]),
+    ], ids=["relabelled_ascnet7", "misspelt_extra"])
+    def test_tensor_without_parameter_rejected(self, tmp_path, capsys, variant,
+                                               extra, named):
+        from ascnet.cli import main
+
+        m = build_model(ModelSpec(variant, height=16, width=16), 0)
+        tensors = {"spec": np.array([0, 2, 16, 16], dtype=np.float32)}
+        tensors.update(models.param_dict(m), **extra)
+        path = tmp_path / "ckpt.asct"
+        tensor.save_tensors(path, tensors)
+        with pytest.raises(ValueError, match=r"ckpt\.asct: classic7 has no "
+                           "parameter for tensor") as info:
+            load_checkpoint(path)
+        assert str(info.value).endswith(", ".join(named))
+        assert main(["eval", "--ckpt", str(path), "--data", str(tmp_path)]) == 2
+        assert ", ".join(named) in capsys.readouterr().err
+
     @pytest.mark.parametrize("spec,message", [
         ([0, 2, 16], "malformed 'spec'"),
         ([0.5, 2, 16, 16], "malformed 'spec'"),
