@@ -14,16 +14,7 @@ import statistics
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import data, models, training
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
 
 
 def _positive_int(value):
@@ -41,16 +32,18 @@ def _seed_list(value):
 
 
 def _build_parser():
-    parser = _Parser(prog="ascnet", description=__doc__)
+    parser = argparse.ArgumentParser(prog="ascnet", description=__doc__)
     defaults = training.TrainConfig()
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
+    p.set_defaults(run=_cmd_synth)
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="JSON file overriding corpus defaults")
     p.add_argument("--seed", type=int)
 
     p = sub.add_parser("train", help="train a model")
+    p.set_defaults(run=_cmd_train)
     p.add_argument("--model", required=True, choices=models.VARIANTS)
     p.add_argument("--data", required=True)
     p.add_argument("--iters", type=_positive_int, default=defaults.iterations)
@@ -62,23 +55,27 @@ def _build_parser():
     p.add_argument("--log-every", type=_positive_int, default=defaults.log_every)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
+    p.set_defaults(run=_cmd_eval)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--pooled", action="store_true",
                    help="pool counts over the dataset instead of per-image means")
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient checks")
+    p.set_defaults(run=_cmd_gradcheck)
     p.add_argument("--target", required=True,
                    choices=list(training.GRADCHECK_TARGETS))
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("bench", help="train and compare the three 7-layer models")
+    p.set_defaults(run=_cmd_bench)
     p.add_argument("--data", required=True)
     p.add_argument("--iters", type=_positive_int, default=defaults.iterations)
     p.add_argument("--seeds", type=_seed_list, default="1,2,3")
     p.add_argument("--lr", type=float, default=defaults.lr)
 
     p = sub.add_parser("ratefield", help="export the learned rate field")
+    p.set_defaults(run=_cmd_ratefield)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--image", required=True)
     p.add_argument("--out-prefix", required=True)
@@ -200,19 +197,19 @@ def _cmd_gradcheck(args):
     report = training.grad_check(args.target, seed=args.seed)
     print(f"target={report.target}")
     for e in report.entries:
-        err = "-" if np.isnan(e.max_rel_err) else f"{e.max_rel_err:.3e}"
-        print(f"{e.status:4s} {e.group:24s} max_rel_err={err} tol={e.tol:.0e}")
+        print(f"{e.status:4s} {e.group:24s} max_rel_err={e.max_rel_err:.3e} "
+              f"tol={e.tol:.0e}")
     return 0 if report.passed else 3
 
 
 def _cmd_bench(args):
-    if _splits(args.data)[1] is None:
-        raise ValueError(f"{args.data}: bench needs train/ and test/ splits; "
-                         "without test/ it would score its training images")
     cfgs = [training.TrainConfig(iterations=args.iters, lr=args.lr, seed=seed)
             for seed in args.seeds]
     train_set, test_set, specs = _load_corpus(
         args.data, [models.CLASSIC7, models.DILATED7, models.ASCNET7])
+    if test_set is None:
+        raise ValueError(f"{args.data}: bench needs train/ and test/ splits; "
+                         "without test/ it would score its training images")
     print("note: synthetic desk-scale benchmark; absolute metric values are "
           "not comparable to full-scale published results", file=sys.stderr)
 
@@ -272,24 +269,16 @@ def _cmd_ratefield(args):
     return 0
 
 
-_COMMANDS = {
-    "synth": _cmd_synth,
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "gradcheck": _cmd_gradcheck,
-    "bench": _cmd_bench,
-    "ratefield": _cmd_ratefield,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+        # argparse exits 0 after --help and 2 on a usage error, which is
+        # exit code 1 here.
+        return 1 if exc.code else 0
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

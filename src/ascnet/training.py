@@ -142,7 +142,7 @@ class GradCheckEntry:
     group: str
     max_rel_err: float
     tol: float
-    status: str  # PASS | FAIL | SKIP
+    status: str  # PASS | FAIL
 
 
 @dataclass
@@ -196,30 +196,24 @@ def is_kink_rates(rates) -> bool:
 
 def _compare(loss, groups, h, tol):
     """One GradCheckEntry per (name, array, analytic) group: the analytic
-    gradient against central differences of loss() over array. A group
-    whose analytic gradient is None is SKIPped."""
+    gradient against central differences of loss() over array."""
     entries = []
     for name, arr, analytic in groups:
-        if analytic is None:
-            entries.append(GradCheckEntry(name, float("nan"), tol, "SKIP"))
-            continue
         err = max_rel_err(analytic, central_diff(loss, arr, h))
         entries.append(GradCheckEntry(name, err, tol, "PASS" if err < tol else "FAIL"))
     return entries
 
 
-def _check_conv(kind, seed, h, tol, rates=None):
+def _check_conv(kind, seed, h, tol):
     """One layer through `conv_forward`/`conv_backward`, as training runs
     it; the loss rebuilds the sampling plan, so it sees rate changes. The
-    rate group is SKIPped when a rate sits within `KINK_MARGIN` of an
-    integer."""
+    adaptive layer's rates are drawn off-kink."""
     rng = tensor.make_rng(seed)
     x = rng.standard_normal((1, 2, 6, 6))
     layer = convops.ConvLayer(rng.standard_normal((3, 2, 3, 3)), rng.standard_normal(3),
                               kind, rate=2 if kind == convops.DILATED else 1)
     adaptive = kind == convops.ADAPTIVE
-    if adaptive and rates is None:
-        rates = offkink_rates(rng, (1, 1, 6, 6))
+    rates = offkink_rates(rng, (1, 1, 6, 6)) if adaptive else None
     plan = lambda: convops.build_sampling_plan(rates, 6, 6) if adaptive else None
     g = rng.standard_normal((1, 3, 6, 6))
     loss = lambda: float((convops.conv_forward(x, layer, plan())[0] * g).sum())
@@ -228,7 +222,7 @@ def _check_conv(kind, seed, h, tol, rates=None):
     groups = [("input", x, gx), ("weights", layer.weights, gw),
               ("bias", layer.bias, gb)]
     if adaptive:
-        groups.append(("rates", rates, None if is_kink_rates(rates) else gr))
+        groups.append(("rates", rates, gr))
     return _compare(loss, groups, h, tol)
 
 
@@ -280,7 +274,7 @@ GRADCHECK_TARGETS = {
 
 
 def grad_check(target: str, seed: int = 0, h: float = 1e-4,
-               tol: float | None = None, asc_rates=None) -> GradCheckReport:
+               tol: float | None = None) -> GradCheckReport:
     """Compare hand-written adjoints against f64 central differences.
 
     targets: classic | dilated | asc | ratenet | model (a reduced-depth
@@ -293,7 +287,7 @@ def grad_check(target: str, seed: int = 0, h: float = 1e-4,
     kind, default_tol = GRADCHECK_TARGETS[target]
     tol = default_tol if tol is None else tol
     if kind is not None:
-        entries = _check_conv(kind, seed, h, tol, asc_rates)
+        entries = _check_conv(kind, seed, h, tol)
     else:
         entries = _check_net(target, seed, h, tol)
     return GradCheckReport(target, entries)

@@ -2,11 +2,16 @@
 
 Criteria 5-7 share one set of full training runs (three architectures,
 seeds 1-3, 2000 iterations each on the default 64x64 corpus), provided by
-a module-scoped fixture. Expect several minutes of wall clock.
+a module-scoped fixture that runs them in parallel worker processes.
+Expect several minutes of wall clock on two cores.
 """
 
+import multiprocessing
+import os
 import statistics
 import time
+from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +22,7 @@ from ascnet.convops import ConvLayer
 
 SEEDS = (1, 2, 3)
 ITERS = 2000
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _report(criterion, name, ok, detail=""):
@@ -112,37 +118,54 @@ def test_criterion_4_end_to_end_theta_gradients():
             ok, f"(max_rel_err={worst:.2e}, {elapsed:.1f}s)")
 
 
-@pytest.fixture(scope="module")
-def comparison_runs():
-    """Train classic7/dilated7/ascnet7 for each seed on the default corpus."""
+def _comparison_job(variant, seed):
+    """Train one variant at one seed on the default corpus. Returns its
+    test Dice and, for ascnet7, the mean rate inside small and large test
+    disks. Module level, so that spawned workers can import it."""
     cfg = data.SynthConfig()
     train_set, test_set = data.generate_synth(cfg)
-    results = {}
+    spec = models.ModelSpec(variant, 2, cfg.height, cfg.width, 1)
+    model, _ = training.train(
+        models.build_model(spec, seed), train_set,
+        training.TrainConfig(iterations=ITERS, lr=1e-3, seed=seed),
+    )
+    dice = training.evaluate(model, test_set).dice
+    if variant != "ascnet7":
+        return dice, None
+    sums = {"small": [0.0, 0], "large": [0.0, 0]}
+    for s in test_set:
+        rates = models.rate_network_forward(s.image, model.ratenet)
+        vals = rates.reshape(cfg.height, cfg.width)
+        yy, xx = np.meshgrid(np.arange(cfg.height),
+                             np.arange(cfg.width), indexing="ij")
+        for cy, cx, radius in s.meta:
+            mask = np.hypot(yy - cy, xx - cx) <= radius
+            key = "small" if radius <= 7.0 else "large"
+            sums[key][0] += float(vals[mask].sum())
+            sums[key][1] += int(mask.sum())
+    return dice, {k: v[0] / v[1] for k, v in sums.items()}
+
+
+@pytest.fixture(scope="module")
+def comparison_runs():
+    """Train classic7/dilated7/ascnet7 for each seed on the default corpus,
+    one process per run. Each worker gets one BLAS thread, so the runs do
+    not compete for cores; the thread variables are read when numpy loads,
+    so they are set before the workers start and restored after."""
+    # The longest runs go first, so that none of them starts last.
+    jobs = [(v, seed) for v in ("ascnet7", "dilated7", "classic7") for seed in SEEDS]
+    spawn = multiprocessing.get_context("spawn")
+    with mock.patch.dict(os.environ, dict.fromkeys(_BLAS_THREAD_VARS, "1")), \
+            ProcessPoolExecutor(min(9, os.cpu_count()), mp_context=spawn) as pool:
+        futures = [pool.submit(_comparison_job, *job) for job in jobs]
+        outcomes = [f.result() for f in futures]
+    results = {v: [] for v, _ in jobs}
     rate_means = []
-    for variant in ("classic7", "dilated7", "ascnet7"):
-        dices = []
-        for seed in SEEDS:
-            spec = models.ModelSpec(variant, 2, cfg.height, cfg.width, 1)
-            model = models.build_model(spec, seed)
-            model, _ = training.train(
-                model, train_set,
-                training.TrainConfig(iterations=ITERS, lr=1e-3, seed=seed),
-            )
-            dices.append(training.evaluate(model, test_set).dice)
-            if variant == "ascnet7":
-                sums = {"small": [0.0, 0], "large": [0.0, 0]}
-                for s in test_set:
-                    rates = models.rate_network_forward(s.image, model.ratenet)
-                    vals = rates.reshape(cfg.height, cfg.width)
-                    yy, xx = np.meshgrid(np.arange(cfg.height),
-                                         np.arange(cfg.width), indexing="ij")
-                    for cy, cx, radius in s.meta:
-                        mask = np.hypot(yy - cy, xx - cx) <= radius
-                        key = "small" if radius <= 7.0 else "large"
-                        sums[key][0] += float(vals[mask].sum())
-                        sums[key][1] += int(mask.sum())
-                rate_means.append({k: v[0] / v[1] for k, v in sums.items()})
-        results[variant] = dices
+    for (variant, seed), (dice, means) in zip(jobs, outcomes):
+        print(f"\n{variant} seed {seed}: dice={dice!r} rate_means={means!r}")
+        results[variant].append(dice)
+        if means is not None:
+            rate_means.append(means)
     return results, rate_means
 
 

@@ -334,6 +334,15 @@ class TestTrainEval:
         assert main(["train", "--model", "classic7", "--data", "x",
                      "--iters", "0", "--out", "y"]) == 1
 
+    @pytest.mark.parametrize("argv, usage", [
+        (["--help"], "usage: ascnet [-h]"),
+        (["train", "--help"], "usage: ascnet train [-h]"),
+    ], ids=["top", "train"])
+    def test_help_exits_0_with_usage_on_stdout(self, capsys, argv, usage):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(usage) and captured.err == ""
+
 
 class TestCorpusErrors:
     """Malformed corpus files exit 2 with a message that names the file."""

@@ -177,23 +177,6 @@ class TestGradCheck:
         groups = [e.group for e in report.entries]
         assert any(g.startswith("ratenet.") for g in groups)
 
-    def test_integer_rates_skip_rate_group(self):
-        report = grad_check("asc", asc_rates=np.full((1, 1, 6, 6), 2.0))
-        by_group = {e.group: e for e in report.entries}
-        assert by_group["rates"].status == "SKIP"
-        assert by_group["input"].status == "PASS"
-        assert by_group["weights"].status == "PASS"
-        assert report.passed
-
-    def test_rates_within_kink_margin_skip_rate_group(self):
-        rates = np.full((1, 1, 6, 6), 1.5)
-        rates[0, 0, 2, 3] = 1.0 + training.KINK_MARGIN / 2
-        by_group = {e.group: e for e in grad_check("asc", asc_rates=rates).entries}
-        assert by_group["rates"].status == "SKIP"
-        rates[0, 0, 2, 3] = 1.0 + 2 * training.KINK_MARGIN
-        by_group = {e.group: e for e in grad_check("asc", asc_rates=rates).entries}
-        assert by_group["rates"].status == "PASS"
-
     def test_unknown_target(self):
         with pytest.raises(ValueError, match="target"):
             grad_check("transformer")
