@@ -27,6 +27,7 @@ class SegmentationSample:
     labels: np.ndarray                # (1,H,W) uint8 class per pixel
     meta: list                        # [(cy, cx, radius), ...]
     pixels: np.ndarray                # (H,W) uint8/uint16 PGM samples
+    maxval: int                       # the PGM header's maxval: white
 
 
 @dataclass
@@ -153,13 +154,15 @@ def _render_sample(rng, cfg, name) -> SegmentationSample:
     raw = raw + rng.normal(0.0, cfg.noise_sigma, size=(h, w))
     raw = np.clip(raw, 0.0, 1.0)
     # Through float32: the corpus file's bytes depend on it.
-    pixels = np.round(raw.astype(np.float32) * 65535).astype(np.uint16)
+    maxval = np.iinfo(np.uint16).max
+    pixels = np.round(raw.astype(np.float32) * maxval).astype(np.uint16)
     try:
-        image = decode(pixels, name)
+        image = decode(pixels, maxval, name)
     except ValueError as exc:
         raise ValueError(f"{exc}; noise_sigma: {cfg.noise_sigma!r} "
                          "adds no variance to it") from None
-    return SegmentationSample(image, labels.reshape(1, h, w), disks, pixels)
+    return SegmentationSample(image, labels.reshape(1, h, w), disks, pixels,
+                              maxval)
 
 
 def generate_synth(cfg: SynthConfig):
@@ -224,6 +227,12 @@ def write_pgm(path, values: np.ndarray, maxval: int = 65535) -> None:
 def read_pgm(path) -> np.ndarray:
     """Read a binary PGM (P5) into a 2-D uint array (uint8 or uint16).
     Errors name the file."""
+    return read_pgm_maxval(path)[0]
+
+
+def read_pgm_maxval(path):
+    """`read_pgm`, with the header's maxval: returns (values, maxval).
+    A sample above maxval is an error."""
     with open(path, "rb") as f:
         data = f.read()
     if not data.startswith(b"P5"):
@@ -253,7 +262,11 @@ def read_pgm(path) -> np.ndarray:
     if len(payload) != n * dtype.itemsize:
         raise ValueError(f"{path}: truncated PGM payload")
     arr = np.frombuffer(payload, dtype=dtype).reshape(h, w)
-    return arr.astype(dtype.newbyteorder("="))
+    if arr.max() > maxval:
+        y, x = np.argwhere(arr > maxval)[0]
+        raise ValueError(f"{path}: PGM sample {arr[y, x]} at pixel ({y},{x}) "
+                         f"exceeds maxval {maxval}")
+    return arr.astype(dtype.newbyteorder("=")), maxval
 
 
 # --- Rate field export / stats -------------------------------------------
@@ -316,15 +329,15 @@ def rate_stats(rates, labels, meta) -> dict:
 
 
 def write_samples(samples, directory) -> None:
-    """Write img_XXXX.pgm (16-bit), lbl_XXXX.pgm (8-bit) pairs and meta.csv."""
+    """Write img_XXXX.pgm (at each sample's maxval), lbl_XXXX.pgm (8-bit)
+    pairs and meta.csv."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     with open(directory / "meta.csv", "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["index", "cy", "cx", "radius"])
         for i, s in enumerate(samples):
-            write_pgm(directory / f"img_{i:04d}.pgm", s.pixels,
-                      maxval=np.iinfo(s.pixels.dtype).max)
+            write_pgm(directory / f"img_{i:04d}.pgm", s.pixels, maxval=s.maxval)
             write_pgm(directory / f"lbl_{i:04d}.pgm", s.labels[0], maxval=255)
             for cy, cx, radius in s.meta:
                 writer.writerow([i, _fmt(cy), _fmt(cx), _fmt(radius)])
@@ -339,11 +352,11 @@ def label_path(img_path):
     return img_path.with_name("lbl_" + img_path.name[len("img_"):])
 
 
-def decode(pixels, source):
-    """The (1,1,H,W) float32 image of PGM `pixels`; errors name `source`."""
+def decode(pixels, maxval, source):
+    """The (1,1,H,W) float32 image of PGM `pixels` at `maxval`; errors
+    name `source`."""
     try:
-        image = preprocess(pixels.astype(np.float32)
-                           / np.iinfo(pixels.dtype).max)
+        image = preprocess(pixels.astype(np.float32) / maxval)
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
     return image.reshape(1, 1, *pixels.shape)
@@ -411,8 +424,8 @@ def load_image_dir(path) -> list:
         lbl_path = label_path(img_path)
         if not lbl_path.exists():
             raise ValueError(f"{img_path}: missing label file {lbl_path.name}")
-        pixels = read_pgm(img_path)
-        image = decode(pixels, img_path)
+        pixels, maxval = read_pgm_maxval(img_path)
+        image = decode(pixels, maxval, img_path)
         if samples and pixels.shape != samples[0].pixels.shape:
             raise ValueError(f"{img_path}: image dims {pixels.shape} differ "
                              f"from {samples[0].pixels.shape} of {imgs[0].name}")
@@ -422,5 +435,6 @@ def load_image_dir(path) -> list:
             lbl.reshape(1, *lbl.shape),
             meta_by_index.get(idx, []),
             pixels,
+            maxval,
         ))
     return samples

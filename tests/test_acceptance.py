@@ -58,18 +58,21 @@ def test_criterion_2_degeneracy_chain():
                              rng.standard_normal(out_c), convops.ADAPTIVE)
         classic = ConvLayer(adaptive.weights, adaptive.bias, convops.CLASSIC)
         ones = np.ones((1, 1, h, w))
-        assert np.array_equal(
-            convops.asc_conv_forward(x, adaptive, ones),
-            convops.conv_classic_forward(x, classic),
-        ), f"seed {seed}: rate-1 adaptive differs from classic"
-        for k in (2, 3):
-            dilated = ConvLayer(adaptive.weights, adaptive.bias,
-                                convops.DILATED, rate=k)
-            diff = np.abs(
-                convops.asc_conv_forward(x, adaptive, np.full((1, 1, h, w), float(k)))
-                - convops.conv_dilated_forward(x, dilated)
-            ).max()
-            worst_dilated = max(worst_dilated, diff)
+        # Both forward forms: kept for a backward, and forward-only.
+        for cached in (False, True):
+            assert np.array_equal(
+                convops.asc_conv_forward(x, adaptive, ones, return_cache=cached)[0],
+                convops.conv_classic_forward(x, classic, cached)[0],
+            ), f"seed {seed}: rate-1 adaptive differs from classic"
+            for k in (2, 3):
+                dilated = ConvLayer(adaptive.weights, adaptive.bias,
+                                    convops.DILATED, rate=k)
+                rates = np.full((1, 1, h, w), float(k))
+                diff = np.abs(
+                    convops.asc_conv_forward(x, adaptive, rates, return_cache=cached)[0]
+                    - convops.conv_dilated_forward(x, dilated, cached)[0]
+                ).max()
+                worst_dilated = max(worst_dilated, diff)
     elapsed = time.monotonic() - start
     ok = worst_dilated < 1e-12 and elapsed < 10
     _report(2, "degeneracy-chain",

@@ -34,6 +34,16 @@ def make_layer(rng, out_c, in_c, kind, rate=1):
                      rng.standard_normal(out_c), kind, rate)
 
 
+# (out channels of a 2-channel layer, return_cache): the mixed form (no
+# cache, no widening) and the sample-first form, reached both ways.
+FORM_CASES = ((2, False), (1, False), (3, False), (2, True), (3, True))
+
+
+def _y(out):
+    """A forward's output, with or without the cache it returned."""
+    return out[0] if isinstance(out, tuple) else out
+
+
 def naive_conv(x, layer, rate):
     """Six-nested-loop oracle for integer-dilated convolution, zero padded."""
     _, c, h, w = x.shape
@@ -144,10 +154,12 @@ class TestDilatedConv:
     def test_rate_one_equals_classic(self):
         rng = RNG(3)
         x = rng.standard_normal((1, 2, 6, 6))
-        d = make_layer(rng, 3, 2, convops.DILATED, rate=1)
-        c = ConvLayer(d.weights, d.bias, convops.CLASSIC)
-        assert np.array_equal(conv_dilated_forward(x, d),
-                              conv_classic_forward(x, c))
+        # Both forms, each reached every way it can be.
+        for out_c, cached in FORM_CASES:
+            d = make_layer(rng, out_c, 2, convops.DILATED, rate=1)
+            c = ConvLayer(d.weights, d.bias, convops.CLASSIC)
+            assert np.array_equal(_y(conv_dilated_forward(x, d, cached)),
+                                  _y(conv_classic_forward(x, c, cached)))
 
     def test_center_only_kernel_unaffected_by_rate(self):
         rng = RNG(4)
@@ -194,11 +206,12 @@ class TestAscForward:
     def test_rate_one_bit_identical_to_classic(self):
         rng = RNG(7)
         x = rng.standard_normal((1, 2, 6, 6))
-        a = make_layer(rng, 3, 2, convops.ADAPTIVE)
-        c = ConvLayer(a.weights, a.bias, convops.CLASSIC)
         rates = np.ones((1, 1, 6, 6))
-        assert np.array_equal(asc_conv_forward(x, a, rates),
-                              conv_classic_forward(x, c))
+        for out_c, cached in FORM_CASES:
+            a = make_layer(rng, out_c, 2, convops.ADAPTIVE)
+            c = ConvLayer(a.weights, a.bias, convops.CLASSIC)
+            assert np.array_equal(_y(asc_conv_forward(x, a, rates, return_cache=cached)),
+                                  _y(conv_classic_forward(x, c, cached)))
 
     def test_integer_rate_matches_dilated(self):
         rng = RNG(8)
@@ -577,6 +590,96 @@ class TestTapBlocks:
                                   plan.S[t * n:(t + 1) * n].toarray())
 
 
+class TestMixedForm:
+    """A forward that keeps no cache, of a layer that does not widen, mixes
+    its channels first. In float64 it matches the sample-first form to
+    1e-12 of the output's largest value."""
+
+    SHAPES = [(1, 1), (32, 2), (3, 3), (4, 2)]   # (in, out) channels
+
+    @staticmethod
+    def _compare(forward, x, layer):
+        mixed = forward(x, layer, False)
+        sampled = forward(x, layer, True)[0]
+        assert mixed.shape == sampled.shape and mixed.dtype == sampled.dtype
+        scale = np.abs(sampled).max()
+        assert np.abs(mixed - sampled).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("c,o", SHAPES)
+    def test_classic_matches_sample_first(self, c, o):
+        rng = RNG(60)
+        x = rng.standard_normal((1, c, 7, 9))
+        self._compare(conv_classic_forward, x, make_layer(rng, o, c, convops.CLASSIC))
+
+    # Rates past the 7x9 map's sides shift taps by a side or more.
+    @pytest.mark.parametrize("c,o", SHAPES)
+    @pytest.mark.parametrize("rate", [2, 3, 6, 7, 8, 9, 12])
+    def test_dilated_matches_sample_first(self, c, o, rate):
+        rng = RNG(61)
+        x = rng.standard_normal((1, c, 7, 9))
+        self._compare(conv_dilated_forward, x,
+                      make_layer(rng, o, c, convops.DILATED, rate))
+
+    @pytest.mark.parametrize("c,o", SHAPES)
+    @pytest.mark.parametrize("field", ["zero", "integer", "fractional", "offimage"])
+    def test_adaptive_matches_sample_first(self, c, o, field):
+        rng = RNG(62)
+        x = rng.standard_normal((1, c, 7, 9))
+        rates = {
+            "zero": np.zeros((1, 1, 7, 9)),
+            "integer": rng.integers(0, 6, (1, 1, 7, 9)).astype(np.float64),
+            "fractional": rng.uniform(0.0, 4.0, (1, 1, 7, 9)),
+            "offimage": rng.uniform(9.0, 20.0, (1, 1, 7, 9)),
+        }[field]
+        plan = convops.build_sampling_plan(rates, 7, 9)
+        self._compare(lambda x_, l_, cached: asc_conv_forward(
+            x_, l_, None, plan=plan, return_cache=cached),
+            x, make_layer(rng, o, c, convops.ADAPTIVE))
+
+    def test_rows_regroup_s_and_are_built_once(self):
+        rates = RNG(63).uniform(0.0, 6.0, (1, 1, 5, 6))
+        rates[0, 0, 0] = (0.0, 1.0, 2.0, 9.0, 0.5, 7.0)   # zero, integer, off-image
+        plan = convops.build_sampling_plan(rates, 5, 6)
+        n = 30
+        dense = plan.S.toarray().reshape(9, n, n)
+        rows = plan.rows
+        assert rows.shape == (n, 9 * n)
+        assert np.array_equal(rows.toarray(), dense.transpose(1, 0, 2).reshape(n, 9 * n))
+        assert np.array_equal(plan.ST.toarray(), plan.S.toarray().T)
+        st_ = plan.ST
+        rng = RNG(64)
+        x = rng.standard_normal((1, 3, 5, 6))
+        for o in (3, 2):
+            layer = make_layer(rng, o, 3, convops.ADAPTIVE)
+            y, cache = asc_conv_forward(x, layer, None, plan=plan, return_cache=True)
+            asc_conv_forward(x, layer, None, plan=plan)
+            asc_conv_backward(x, layer, None, rng.standard_normal(y.shape), cache=cache)
+        assert plan.rows is rows and plan.ST is st_
+
+    @pytest.mark.parametrize("kind", [convops.ADAPTIVE, convops.CLASSIC, convops.DILATED])
+    @pytest.mark.parametrize("c,o", [(32, 32), (32, 2)])
+    def test_forward_peak_memory_stays_near_the_tap_products(self, kind, c, o):
+        rng = RNG(65)
+        x = rng.standard_normal((1, c, 64, 64)).astype(np.float32)
+        w = rng.standard_normal((o, c, 3, 3)).astype(np.float32)
+        layer = ConvLayer(w, np.zeros(o, np.float32), kind, 16 if kind == convops.DILATED else 1)
+        plan = convops.build_sampling_plan(
+            rng.uniform(0.0, 4.0, (1, 1, 64, 64)).astype(np.float32), 64, 64)
+        forward = {convops.ADAPTIVE: lambda: asc_conv_forward(x, layer, None, plan=plan),
+                   convops.CLASSIC: lambda: conv_classic_forward(x, layer),
+                   convops.DILATED: lambda: conv_dilated_forward(x, layer)}[kind]
+        forward()   # builds plan.rows
+        tracemalloc.start()
+        try:
+            forward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The (9, N, O) products and the (N, O) sum. Sample-first tap
+        # columns, (C, 9, N), would take it to 16x at 32->2.
+        assert peak < 1.5 * (9 * 64 * 64 * o * 4)
+
+
 @st.composite
 def rate_field_cases(draw, rates, dtypes=(np.float64,)):
     """A random (1, C, H, W) input of 1-8 px a side and 1-3 channels, an
@@ -623,16 +726,18 @@ class TestRandomRateFields:
         assert np.allclose(asc_conv_forward(x, a, rates),
                            oracle_asc_forward(x, a, rates), rtol=1e-10, atol=1e-10)
 
+    # Either form: without a cache, a layer that does not widen mixes first.
     @settings(max_examples=150)
     @given(case=rate_field_cases(st.integers(1, 11).map(float),
-                                 (np.float32, np.float64)))
-    def test_integer_rates_are_dilated_convs_bit_for_bit(self, case):
+                                 (np.float32, np.float64)),
+           cached=st.booleans())
+    def test_integer_rates_are_dilated_convs_bit_for_bit(self, case, cached):
         _, x, a, rates = case
-        y = asc_conv_forward(x, a, rates)
+        y = _y(asc_conv_forward(x, a, rates, return_cache=cached))
         for k in np.unique(rates):
             d = ConvLayer(a.weights, a.bias, convops.DILATED, rate=int(k))
             at_k = rates[0, 0] == k
-            want = conv_dilated_forward(x, d)
+            want = _y(conv_dilated_forward(x, d, cached))
             assert y.dtype == want.dtype
             assert y[0][:, at_k].tobytes() == want[0][:, at_k].tobytes()
 
@@ -685,15 +790,21 @@ class TestDispatch:
         y, cache = convops.conv_forward(x, layer, plan, return_cache=True)
         grads = convops.conv_backward(x, layer, g, cache)
         if kind == convops.CLASSIC:
-            want_y = conv_classic_forward(x, layer)
+            fwd = lambda x_, l_, cached: conv_classic_forward(x_, l_, cached)
             want = (*conv_classic_backward(x, layer, g), None)
         elif kind == convops.DILATED:
-            want_y = conv_dilated_forward(x, layer)
+            fwd = lambda x_, l_, cached: conv_dilated_forward(x_, l_, cached)
             want = (*conv_dilated_backward(x, layer, g), None)
         else:
-            want_y = asc_conv_forward(x, layer, rates)
+            fwd = lambda x_, l_, cached: asc_conv_forward(x_, l_, rates, return_cache=cached)
             want = asc_conv_backward(x, layer, rates, g)
+        want_y = fwd(x, layer, True)[0]
         assert y.dtype == want_y.dtype and y.tobytes() == want_y.tobytes()
+        # The forward-only form, of this layer and of a narrowing one.
+        for lay in (layer, ConvLayer(layer.weights[:, :2], layer.bias, kind, rate)):
+            x_ = x[:, :lay.in_channels]
+            got = convops.conv_forward(x_, lay, plan)[0]
+            assert got.tobytes() == fwd(x_, lay, False).tobytes()
         assert len(grads) == 4
         for got, ref in zip(grads, want):
             if ref is None:

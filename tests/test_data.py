@@ -307,6 +307,31 @@ class TestCorpusIO:
             assert ((tmp_path / "out" / name).read_bytes()
                     == (src / name).read_bytes()), name
 
+    def test_12bit_corpus_keeps_its_maxval(self, tmp_path):
+        rng = np.random.default_rng(7)
+        src = tmp_path / "src"
+        src.mkdir()
+        values = rng.integers(0, 4096, (32, 32)).astype(np.uint16)
+        write_pgm(src / "img_0000.pgm", values, maxval=4095)
+        write_pgm(src / "lbl_0000.pgm", (values > 2048).astype(np.uint8), maxval=255)
+        (s,) = load_image_dir(src)
+        assert s.maxval == 4095 and np.array_equal(s.pixels, values)
+        # decode scales by the file's own white, not by the dtype's.
+        want = data.preprocess(values.astype(np.float32) / 4095)
+        assert s.image.tobytes() == want.tobytes()
+        data.write_samples([s], tmp_path / "out")
+        blob = (tmp_path / "out" / "img_0000.pgm").read_bytes()
+        assert blob == (src / "img_0000.pgm").read_bytes()
+        assert blob.startswith(b"P5\n32 32\n4095\n")
+
+    def test_sample_above_maxval_rejected(self, tmp_path):
+        path = tmp_path / "x.pgm"
+        path.write_bytes(b"P5\n2 1\n100\n\x07\x65")
+        with pytest.raises(ValueError, match="sample 101 at pixel \\(0,1\\) "
+                                             "exceeds maxval 100") as exc:
+            read_pgm(path)
+        assert str(path) in str(exc.value)
+
     def test_loaded_samples_hold_file_bits(self, tmp_path):
         train, _ = generate_synth(small_cfg(seed=6))
         data.write_samples(train, tmp_path)
