@@ -134,7 +134,9 @@ def build_reduced_asc_model(num_asc_layers, seed=0) -> Model:
 def _stack_forward(layers, x, plan, relu_last, return_cache):
     """Conv+ReLU through `layers` (no ReLU after the last unless relu_last).
     Returns (output, cache); the cache, None without return_cache, holds
-    every layer's input, pre-activation and conv cache."""
+    every layer's input, pre-activation and conv cache. Without it, ReLU
+    overwrites each conv's fresh output; the caller's input is never
+    written."""
     inputs, preacts, conv_caches = [], [], []
     last = len(layers) - 1
     for i, layer in enumerate(layers):
@@ -143,7 +145,10 @@ def _stack_forward(layers, x, plan, relu_last, return_cache):
             inputs.append(x)
             preacts.append(z)
             conv_caches.append(conv_cache)
-        x = tensor.relu(z) if relu_last or i != last else z
+        if relu_last or i != last:
+            x = tensor.relu(z) if return_cache else np.maximum(z, 0, out=z)
+        else:
+            x = z
     cache = {"inputs": inputs, "preacts": preacts, "asc_caches": conv_caches}
     return x, cache if return_cache else None
 

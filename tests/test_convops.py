@@ -656,6 +656,15 @@ class TestMixedForm:
             asc_conv_backward(x, layer, None, rng.standard_normal(y.shape), cache=cache)
         assert plan.rows is rows and plan.ST is st_
 
+    def test_rows_hold_only_the_nonzero_corners(self):
+        rates = RNG(66).uniform(0.0, 4.0, (1, 1, 5, 6))
+        # Zero, integer, fractional and off-image pixels.
+        rates[0, 0, 0] = (0.0, 1.0, 2.0, 9.0, 0.5, 7.0)
+        plan = convops.build_sampling_plan(rates, 5, 6)
+        rows = plan.rows
+        assert rows.nnz == np.count_nonzero(rows.data) == np.count_nonzero(plan.S.data)
+        assert rows.nnz < plan.S.nnz
+
     @pytest.mark.parametrize("kind", [convops.ADAPTIVE, convops.CLASSIC, convops.DILATED])
     @pytest.mark.parametrize("c,o", [(32, 32), (32, 2)])
     def test_forward_peak_memory_stays_near_the_tap_products(self, kind, c, o):

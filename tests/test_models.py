@@ -79,6 +79,36 @@ class TestModelForward:
         assert no_rates is None
         assert np.allclose(ya, yc, atol=1e-6)
 
+    @pytest.mark.parametrize("variant", models.VARIANTS)
+    def test_forward_only_matches_cached_forward(self, variant):
+        m = build_model(ModelSpec(variant, height=12, width=10), 5, dtype=np.float64)
+        rng = tensor.make_rng(6)
+        if m.is_adaptive:
+            # Fractional rates, some of them zero.
+            for layer in m.ratenet.layers:
+                layer.weights[...] = tensor.he_init(rng, layer.weights.shape, np.float64)
+        image = rng.standard_normal((1, 1, 12, 10))
+        kept = image.copy()
+        logits, rates = models.model_forward(m, image)
+        assert np.array_equal(image, kept)
+        cached, cached_rates, _ = models.model_forward(m, image, return_cache=True)
+        assert logits.dtype == cached.dtype == np.float64
+        assert np.abs(logits - cached).max() <= 1e-12 * np.abs(cached).max()
+        if m.is_adaptive:
+            assert np.abs(rates - cached_rates).max() <= 1e-12 * np.abs(cached_rates).max()
+
+    def test_fresh_ascnet_forward_only_equals_classic_twin_bit_for_bit(self):
+        asc = build_model(ModelSpec("ascnet7", height=16, width=16), 9)
+        classic = build_model(ModelSpec("classic7", height=16, width=16), 9)
+        for la, lc in zip(asc.layers, classic.layers):
+            lc.weights[...] = la.weights
+            lc.bias[...] = la.bias
+        image = np.random.default_rng(1).standard_normal((1, 1, 16, 16)).astype(np.float32)
+        ya, rates = models.model_forward(asc, image)
+        yc, _ = models.model_forward(classic, image)
+        assert np.array_equal(rates, np.ones_like(rates))
+        assert ya.dtype == yc.dtype and ya.tobytes() == yc.tobytes()
+
     def test_classic_has_no_rates(self):
         m = build_model(ModelSpec("classic7", height=16, width=16), 0)
         image = np.zeros((1, 1, 16, 16), dtype=np.float32)
