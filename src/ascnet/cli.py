@@ -242,7 +242,7 @@ def _cmd_ratefield(args):
                          "rate field (only ascnet variants learn one)")
 
     img_path = Path(args.image)
-    image = data.decode(*data.read_pgm_maxval(img_path), img_path)
+    image = data.decode(*data.read_pgm(img_path), img_path)
     model.spec.check_input(image.shape, img_path, f"checkpoint {args.ckpt}")
     # Everything is read and checked before anything is written: a bad
     # corpus file, or a rate field that `model_forward` finds non-finite

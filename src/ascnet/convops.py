@@ -274,9 +274,11 @@ class SamplingPlan:
     """The bilinear sampler for one rate field, as two sparse operators.
 
     `S` is a (9*H*W, H*W) CSR matrix whose row t*H*W + p reads tap t of
-    output pixel p: four non-zeros, the tent weights of the sample point's
+    output pixel p: four entries, the tent weights of the sample point's
     bilinear corners (zero for corners off the image, whose column index
-    is clipped in-bounds). `D` holds the weights' derivatives with respect
+    is clipped in-bounds). 11 of a pixel's 36 entries are always zero: a
+    tap's second corner along an axis where it does not move, and the
+    centre tap's three. `D` holds the weights' derivatives with respect
     to the pixel's rate on the same sparsity pattern. `taps` holds the
     nine (H*W, H*W) row blocks of `S`, one per tap, as zero-copy CSR views
     of its arrays; the sample-first forward reads every channel one tap
@@ -511,14 +513,8 @@ def conv_forward(x, layer, plan=None, return_cache=False):
     return_cache also picks the form. With it, every kind samples first:
     training's backward reuses the adaptive tap columns, and its bits stay
     those of the sample-first code. Without it, a layer that does not
-    widen mixes its channels first. On 64x64 images with 1 BLAS thread
-    that took `ascnet14` eval from 17.8 to 28.4 images/s and `ascnet7`
-    from 7.4 to 6.9 ms per image, and cost `classic7` and `dilated7`
-    about 0.2 ms per image (1.2 to 1.3-1.4 ms): the integer kinds keep the
-    form that is bit-identical to the adaptive one. Dropping `rows`'
-    zeros, the transpose copy and a fresh ReLU output then took
-    `ascnet14` eval from 30.2 to 39.0 images/s, `ascnet7` from 6.9 to 5.2
-    ms per image, and `classic7`/`dilated7` from 1.30-1.32 to 1.23-1.24 ms.
+    widen mixes its channels first; the integer kinds keep the form that
+    is bit-identical to the adaptive one.
     """
     if layer.kind == ADAPTIVE:
         if plan is None:

@@ -224,15 +224,10 @@ def write_pgm(path, values: np.ndarray, maxval: int = 65535) -> None:
             f.write(values.astype("u1").tobytes())
 
 
-def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM (P5) into a 2-D uint array (uint8 or uint16).
-    Errors name the file."""
-    return read_pgm_maxval(path)[0]
-
-
-def read_pgm_maxval(path):
-    """`read_pgm`, with the header's maxval: returns (values, maxval).
-    A sample above maxval is an error."""
+def read_pgm(path):
+    """Read a binary PGM (P5): returns (values, maxval), values a 2-D uint8
+    or uint16 array. A sample above maxval is an error; errors name the
+    file."""
     with open(path, "rb") as f:
         data = f.read()
     if not data.startswith(b"P5"):
@@ -365,7 +360,7 @@ def decode(pixels, maxval, source):
 def read_label(path, dims):
     """Read a label PGM as uint8 classes, checking it has the image's
     (H, W) `dims` and only the values 0 (background) and 1 (object)."""
-    lbl = read_pgm(path)
+    lbl, _ = read_pgm(path)
     if lbl.shape != dims:
         raise ValueError(f"{path}: label dims {lbl.shape} do not match "
                          f"image dims {dims}")
@@ -424,7 +419,7 @@ def load_image_dir(path) -> list:
         lbl_path = label_path(img_path)
         if not lbl_path.exists():
             raise ValueError(f"{img_path}: missing label file {lbl_path.name}")
-        pixels, maxval = read_pgm_maxval(img_path)
+        pixels, maxval = read_pgm(img_path)
         image = decode(pixels, maxval, img_path)
         if samples and pixels.shape != samples[0].pixels.shape:
             raise ValueError(f"{img_path}: image dims {pixels.shape} differ "

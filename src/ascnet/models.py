@@ -155,8 +155,8 @@ def _stack_forward(layers, x, plan, relu_last, return_cache):
 
 def _stack_backward(layers, cache, g, relu_last, prefix, grads):
     """Adjoint of `_stack_forward`: puts "{prefix}layer{i}.weight"/".bias"
-    into grads and returns (grad_input, rate gradient summed over the
-    adaptive layers, or None)."""
+    into grads and returns the rate gradient summed over the adaptive
+    layers, or None."""
     grad_rates = None
     last = len(layers) - 1
     for i in range(last, -1, -1):
@@ -168,7 +168,7 @@ def _stack_backward(layers, cache, g, relu_last, prefix, grads):
             grad_rates = gr if grad_rates is None else grad_rates + gr
         grads[f"{prefix}layer{i}.weight"] = gw
         grads[f"{prefix}layer{i}.bias"] = gb
-    return g, grad_rates
+    return grad_rates
 
 
 def rate_network_forward(image, net: RateNetwork, return_cache=False):
@@ -212,8 +212,8 @@ def model_backward(model: Model, cache, grad_logits):
     if cache is None or "preacts" not in cache:
         raise ValueError("model_backward requires the cache from model_forward")
     grads = {}
-    _, grad_rates = _stack_backward(model.layers, cache, grad_logits, False,
-                                    "", grads)
+    grad_rates = _stack_backward(model.layers, cache, grad_logits, False, "",
+                                 grads)
     if model.is_adaptive:
         grads.update(rate_network_backward(model.ratenet, cache["ratenet"],
                                            grad_rates))

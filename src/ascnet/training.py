@@ -155,7 +155,11 @@ class GradCheckReport:
         return all(e.status != "FAIL" for e in self.entries)
 
 
-def central_diff(f, arr, h):
+# The central-difference step of every gradient check.
+FD_STEP = 1e-4
+
+
+def central_diff(f, arr):
     """Central finite differences of scalar f() w.r.t. every entry of arr
     (perturbed in place and restored)."""
     g = np.zeros_like(arr)
@@ -163,12 +167,12 @@ def central_diff(f, arr, h):
     gf = g.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + h
+        flat[i] = orig + FD_STEP
         fp = f()
-        flat[i] = orig - h
+        flat[i] = orig - FD_STEP
         fm = f()
         flat[i] = orig
-        gf[i] = (fp - fm) / (2.0 * h)
+        gf[i] = (fp - fm) / (2.0 * FD_STEP)
     return g
 
 
@@ -181,33 +185,21 @@ def max_rel_err(analytic, numeric) -> float:
 KINK_MARGIN = 1e-3
 
 
+def _near_kink(r):
+    return np.abs(r - np.round(r)) < KINK_MARGIN
+
+
 def offkink_rates(rng, shape):
     """Rates uniform in [0.3, 2.3], nudged away from integer values so the
     bilinear tent kernel is differentiable at every sample offset."""
     r = rng.uniform(0.3, 2.3, size=shape)
-    near = np.abs(r - np.round(r)) < KINK_MARGIN
-    return np.where(near, r + 2 * KINK_MARGIN, r)
+    return np.where(_near_kink(r), r + 2 * KINK_MARGIN, r)
 
 
-def is_kink_rates(rates) -> bool:
-    r = np.asarray(rates)
-    return bool(np.any(np.abs(r - np.round(r)) < KINK_MARGIN))
-
-
-def _compare(loss, groups, h, tol):
-    """One GradCheckEntry per (name, array, analytic) group: the analytic
-    gradient against central differences of loss() over array."""
-    entries = []
-    for name, arr, analytic in groups:
-        err = max_rel_err(analytic, central_diff(loss, arr, h))
-        entries.append(GradCheckEntry(name, err, tol, "PASS" if err < tol else "FAIL"))
-    return entries
-
-
-def _check_conv(kind, seed, h, tol):
-    """One layer through `conv_forward`/`conv_backward`, as training runs
-    it; the loss rebuilds the sampling plan, so it sees rate changes. The
-    adaptive layer's rates are drawn off-kink."""
+def _check_conv(kind, seed):
+    """(loss, groups) of one layer through `conv_forward`/`conv_backward`,
+    as training runs it; the loss rebuilds the sampling plan, so it sees
+    rate changes. The adaptive layer's rates are drawn off-kink."""
     rng = tensor.make_rng(seed)
     x = rng.standard_normal((1, 2, 6, 6))
     layer = convops.ConvLayer(rng.standard_normal((3, 2, 3, 3)), rng.standard_normal(3),
@@ -223,12 +215,13 @@ def _check_conv(kind, seed, h, tol):
               ("bias", layer.bias, gb)]
     if adaptive:
         groups.append(("rates", rates, gr))
-    return _compare(loss, groups, h, tol)
+    return loss, groups
 
 
-def _check_net(target, seed, h, tol):
-    """Parameter gradients of a reduced adaptive model: the rate network's
-    under a loss on the rate field ("ratenet"), or all under cross-entropy."""
+def _check_net(target, seed):
+    """(loss, groups) of a reduced adaptive model's parameters: the rate
+    network's under a loss on the rate field ("ratenet"), or all under
+    cross-entropy."""
     rng = tensor.make_rng(seed)
     model = models.build_reduced_asc_model(2, seed=seed)
     # A random rate network exercises the rate path away from the all-ones
@@ -243,7 +236,7 @@ def _check_net(target, seed, h, tol):
         logits, rates, cache = models.model_forward(model, image, return_cache=True)
         relu_inputs = cache["preacts"][:-1] + cache["ratenet"]["preacts"]
         if (min(np.abs(z).min() for z in relu_inputs) >= KINK_MARGIN
-                and not is_kink_rates(rates[rates > 0])):
+                and not _near_kink(rates[rates > 0]).any()):
             break
 
     if target == "ratenet":
@@ -257,13 +250,12 @@ def _check_net(target, seed, h, tol):
             models.model_forward(model, image)[0], labels)[0]
         grad_logits = tensor.softmax_cross_entropy(logits, labels)[1]
         grads = models.model_backward(model, cache, grad_logits)
-    return _compare(loss, [(name, arr, grads[name]) for name, arr in
-                           models.param_dict(model).items() if name in grads],
-                    h, tol)
+    return loss, [(name, arr, grads[name]) for name, arr in
+                  models.param_dict(model).items() if name in grads]
 
 
 # Gradient-check targets: the conv kind a one-layer target checks (None for
-# the reduced-model targets) and the default tolerance.
+# the reduced-model targets) and the tolerance on its max relative error.
 GRADCHECK_TARGETS = {
     "classic": (convops.CLASSIC, 1e-6),
     "dilated": (convops.DILATED, 1e-6),
@@ -273,8 +265,7 @@ GRADCHECK_TARGETS = {
 }
 
 
-def grad_check(target: str, seed: int = 0, h: float = 1e-4,
-               tol: float | None = None) -> GradCheckReport:
+def grad_check(target: str, seed: int = 0) -> GradCheckReport:
     """Compare hand-written adjoints against f64 central differences.
 
     targets: classic | dilated | asc | ratenet | model (a reduced-depth
@@ -284,10 +275,11 @@ def grad_check(target: str, seed: int = 0, h: float = 1e-4,
         raise ValueError(f"unknown gradcheck target {target!r}")
     if seed < 0:
         raise ValueError(f"seed: {seed!r} must be >= 0")
-    kind, default_tol = GRADCHECK_TARGETS[target]
-    tol = default_tol if tol is None else tol
-    if kind is not None:
-        entries = _check_conv(kind, seed, h, tol)
-    else:
-        entries = _check_net(target, seed, h, tol)
+    kind, tol = GRADCHECK_TARGETS[target]
+    loss, groups = (_check_conv(kind, seed) if kind is not None
+                    else _check_net(target, seed))
+    entries = []
+    for name, arr, analytic in groups:
+        err = max_rel_err(analytic, central_diff(loss, arr))
+        entries.append(GradCheckEntry(name, err, tol, "PASS" if err < tol else "FAIL"))
     return GradCheckReport(target, entries)

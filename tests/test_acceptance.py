@@ -33,13 +33,15 @@ def _report(criterion, name, ok, detail=""):
 
 def test_criterion_1_gradient_fidelity():
     start = time.monotonic()
-    report = training.grad_check("asc", seed=0, h=1e-4, tol=1e-4)
+    report = training.grad_check("asc", seed=0)
     elapsed = time.monotonic() - start
     worst = max(e.max_rel_err for e in report.entries)
     groups = {e.group for e in report.entries}
     ok = (report.passed
           and groups == {"input", "weights", "bias", "rates"}
           and all(e.status == "PASS" for e in report.entries)
+          and all(e.tol == 1e-4 for e in report.entries)
+          and training.FD_STEP == 1e-4
           and elapsed < 60)
     _report(1, "gradient-fidelity",
             ok, f"(max_rel_err={worst:.2e}, {elapsed:.1f}s)")
@@ -110,12 +112,14 @@ def test_criterion_3_partition_of_unity():
 
 def test_criterion_4_end_to_end_theta_gradients():
     start = time.monotonic()
-    report = training.grad_check("model", seed=0, h=1e-4, tol=1e-3)
+    report = training.grad_check("model", seed=0)
     elapsed = time.monotonic() - start
     rate_groups = [e for e in report.entries if e.group.startswith("ratenet.")]
     worst = max(e.max_rel_err for e in report.entries)
     ok = (report.passed and len(rate_groups) == 6
           and all(e.status == "PASS" for e in report.entries)
+          and all(e.tol == 1e-3 for e in report.entries)
+          and training.FD_STEP == 1e-4
           and elapsed < 120)
     _report(4, "end-to-end-theta-gradients",
             ok, f"(max_rel_err={worst:.2e}, {elapsed:.1f}s)")
@@ -233,7 +237,7 @@ def test_criterion_9_format_round_trips(tmp_path):
     raw = rng.uniform(0, 1, (16, 16))
     q = np.round(raw * 65535).astype(np.uint16)
     data.write_pgm(tmp_path / "x.pgm", q, maxval=65535)
-    back = data.read_pgm(tmp_path / "x.pgm").astype(np.float64) / 65535
+    back = data.read_pgm(tmp_path / "x.pgm")[0].astype(np.float64) / 65535
     pgm_ok = np.abs(back - raw).max() <= 1.0 / 65535
 
     ok = container_ok and pgm_ok

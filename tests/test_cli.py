@@ -445,7 +445,7 @@ class TestCorpusErrors:
                  "--iters", "1", "--out", str(ckpt), "--report", str(report)]
         for split, value in (("test", 9), ("train", 7)):
             lbl = corpus_copy / split / "lbl_0001.pgm"
-            values = data.read_pgm(lbl)
+            values, _ = data.read_pgm(lbl)
             values[3, 4] = value
             data.write_pgm(lbl, values, maxval=255)
             assert main(train) == 2
@@ -467,7 +467,7 @@ class TestCorpusErrors:
         """Write img's pair back into its directory as pair `index`, at
         twice its size."""
         for src, prefix in ((img, "img"), (data.label_path(img), "lbl")):
-            values = data.read_pgm(src)
+            values, _ = data.read_pgm(src)
             data.write_pgm(img.parent / f"{prefix}_{index:04d}.pgm",
                            values.repeat(2, axis=0).repeat(2, axis=1),
                            maxval=np.iinfo(values.dtype).max)

@@ -114,6 +114,23 @@ class TestSampleBilinear:
         with pytest.raises(ValueError, match="channel"):
             sample_bilinear(np.zeros((2, 3, 3)), (1.0, 1.0), 2)
 
+    @pytest.mark.parametrize("shape", [(1, 2, 3, 3), (3, 3)])
+    def test_map_that_is_not_3d_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"expected \(C,H,W\) input"):
+            sample_bilinear(np.zeros(shape), (1.0, 1.0), 0)
+
+
+class TestConvLayer:
+    @pytest.mark.parametrize("kernel,out_c,kind,message", [
+        ((2, 1, 5, 5), 2, convops.CLASSIC, r"kernel must be \(out,in,3,3\)"),
+        ((2, 1, 3), 2, convops.CLASSIC, r"kernel must be \(out,in,3,3\)"),
+        ((2, 1, 3, 3), 3, convops.CLASSIC, r"bias shape \(3,\) does not match 2"),
+        ((2, 1, 3, 3), 2, "deformable", "unknown layer kind 'deformable'"),
+    ], ids=["5x5-kernel", "3d-kernel", "bias", "kind"])
+    def test_rejects_malformed_parameters(self, kernel, out_c, kind, message):
+        with pytest.raises(ValueError, match=message):
+            ConvLayer(np.zeros(kernel), np.zeros(out_c), kind)
+
 
 class TestClassicConv:
     def test_identity_kernel(self):
@@ -248,6 +265,15 @@ class TestAscForward:
         with pytest.raises(ValueError, match="rate field"):
             asc_conv_forward(rng.standard_normal((1, 1, 5, 5)), a,
                              np.ones((1, 1, 4, 4)))
+
+    @pytest.mark.parametrize("return_cache", [False, True])
+    def test_plan_for_other_dims_rejected(self, return_cache):
+        rng = RNG(0)
+        a = make_layer(rng, 2, 2, convops.ADAPTIVE)
+        plan = convops.build_sampling_plan(np.ones((1, 1, 5, 5)), 5, 5)
+        with pytest.raises(ValueError, match="sampling plan dims do not match"):
+            asc_conv_forward(rng.standard_normal((1, 2, 5, 6)), a, None, plan,
+                             return_cache)
 
     def test_negative_rates_rejected(self):
         rng = RNG(0)
@@ -851,6 +877,13 @@ class TestDispatch:
                 self.FORWARDS[op_kind](x, layer)
             with pytest.raises(ValueError, match=f"expected a layer of kind '{op_kind}'"):
                 self.BACKWARDS[op_kind](x, layer, g)
+
+    @pytest.mark.parametrize("kind", list(FORWARDS))
+    @pytest.mark.parametrize("shape", [(2, 2, 5, 6), (2, 5, 6)])
+    def test_forwards_reject_input_that_is_not_1chw(self, kind, shape):
+        layer = make_layer(RNG(45), 2, 2, kind)
+        with pytest.raises(ValueError, match=r"expected \(1,C,H,W\) input"):
+            self.FORWARDS[kind](np.zeros(shape), layer)
 
     @pytest.mark.parametrize("kind", list(FORWARDS) + ["dispatch"])
     @pytest.mark.parametrize("shape", [(1, 3, 5, 6), (1, 2, 6, 5), (2, 2, 5, 6), (2, 5, 6)])

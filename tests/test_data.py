@@ -178,7 +178,20 @@ class TestPgm:
         values = rng.integers(0, maxval + 1, size=(9, 7)).astype(dtype)
         path = tmp_path / "x.pgm"
         write_pgm(path, values, maxval=maxval)
-        assert np.array_equal(read_pgm(path), values)
+        assert np.array_equal(read_pgm(path)[0], values)
+
+    @pytest.mark.parametrize("values,maxval,message", [
+        (np.zeros(4, np.uint8), 255, "PGM payload must be 2-D"),
+        (np.zeros((2, 2), np.uint8), 0, r"maxval must be in \[1, 65535\]"),
+        (np.zeros((2, 2), np.uint16), 65536, r"maxval must be in \[1, 65535\]"),
+        (np.array([[7, 101]]), 100, "PGM sample values out of range"),
+    ], ids=["1d", "maxval-0", "maxval-65536", "above-maxval"])
+    def test_write_rejects_what_cannot_be_read_back(self, tmp_path, values,
+                                                   maxval, message):
+        path = tmp_path / "x.pgm"
+        with pytest.raises(ValueError, match=message):
+            write_pgm(path, values, maxval=maxval)
+        assert not path.exists()
 
     def test_16bit_big_endian_payload(self, tmp_path):
         path = tmp_path / "x.pgm"
@@ -189,7 +202,7 @@ class TestPgm:
     def test_comment_in_header(self, tmp_path):
         path = tmp_path / "x.pgm"
         path.write_bytes(b"P5\n# a comment\n2 1\n255\n\x07\x09")
-        assert np.array_equal(read_pgm(path), [[7, 9]])
+        assert np.array_equal(read_pgm(path)[0], [[7, 9]])
 
     def test_non_p5_rejected(self, tmp_path):
         path = tmp_path / "x.pgm"
@@ -221,7 +234,7 @@ class TestPgm:
                 read_pgm(path)
             assert str(path) in str(exc.value), k
         path.write_bytes(blob)
-        assert np.array_equal(read_pgm(path), np.arange(6).reshape(2, 3))
+        assert np.array_equal(read_pgm(path)[0], np.arange(6).reshape(2, 3))
 
     @pytest.mark.parametrize("header,message", [
         (b"P5\n64", "truncated PGM header"),
@@ -246,7 +259,7 @@ class TestRateFieldExport:
         rates = np.full((1, 1, 4, 4), 2.5, dtype=np.float32)
         prefix = tmp_path / "rf"
         export_rate_field(rates, prefix)
-        pgm = read_pgm(str(prefix) + ".pgm")
+        pgm, _ = read_pgm(str(prefix) + ".pgm")
         assert (pgm == pgm.flat[0]).all()
         csv = np.loadtxt(str(prefix) + ".csv", delimiter=",", ndmin=2)
         assert np.all(csv == 2.5)
@@ -299,7 +312,7 @@ class TestCorpusIO:
         src = tmp_path / "src"
         data.write_samples(train, src)
         for img in src.glob("img_*.pgm"):
-            write_pgm(img, (read_pgm(img) >> 8).astype(np.uint8), 255)
+            write_pgm(img, (read_pgm(img)[0] >> 8).astype(np.uint8), 255)
         data.write_samples(load_image_dir(src), tmp_path / "out")
         names = sorted(p.name for p in src.iterdir())
         assert names == sorted(p.name for p in (tmp_path / "out").iterdir())
@@ -394,7 +407,7 @@ class TestPgmProperties:
                                   for sep, v in zip(seps, (w, h, maxval)))
         path = tmp_path_factory.mktemp("pgm") / "x.pgm"
         path.write_bytes(header + last + values.tobytes())
-        out = read_pgm(path)
+        out, _ = read_pgm(path)
         assert out.shape == (h, w) and out.dtype.itemsize == dtype.itemsize
         assert np.array_equal(out, values)
 
@@ -404,7 +417,7 @@ class TestPgmProperties:
         path = tmp_path_factory.mktemp("pgm") / "x.pgm"
         path.write_bytes(b"P5" + tail)
         try:
-            out = read_pgm(path)
+            out, _ = read_pgm(path)
         except ValueError as exc:
             assert str(path) in str(exc)
         else:

@@ -314,6 +314,44 @@ class TestCheckpoint:
         assert main(["eval", "--ckpt", str(path), "--data", str(tmp_path)]) == 2
         assert ", ".join(named) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage,message", [
+        (lambda t: t.pop("spec"), "checkpoint missing 'spec' tensor"),
+        (lambda t: t.pop("layer0.weight"), "checkpoint missing a 4-D 'layer0.weight'"),
+        (lambda t: t.update({"layer0.weight": t["layer0.weight"].reshape(8, 9)}),
+         "checkpoint missing a 4-D 'layer0.weight'"),
+        (lambda t: t.pop("layer3.bias"), "checkpoint missing parameter layer3.bias"),
+        (lambda t: t.update({"layer3.bias": np.zeros(9, np.float32)}),
+         "parameter layer3.bias has shape (9,), expected (8,)"),
+    ], ids=["no-spec", "no-layer0", "flat-layer0", "missing", "misshaped"])
+    def test_incomplete_checkpoint_exits_2_naming_file(self, tmp_path, capsys,
+                                                        damage, message):
+        from ascnet.cli import main
+
+        m = build_model(ModelSpec("classic7", height=16, width=16), 0)
+        tensors = {"spec": np.array([0, 2, 16, 16], dtype=np.float32)}
+        tensors.update(models.param_dict(m))
+        damage(tensors)
+        path = tmp_path / "ckpt.asct"
+        tensor.save_tensors(path, tensors)
+        assert main(["eval", "--ckpt", str(path), "--data", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: {message}" in err and "Traceback" not in err
+
+    def test_unsupported_container_version_exits_2_naming_file(self, tmp_path,
+                                                               capsys):
+        from ascnet.cli import main
+
+        path = tmp_path / "ckpt.asct"
+        save_checkpoint(build_model(ModelSpec("classic7", height=16, width=16), 0),
+                        path)
+        blob = bytearray(path.read_bytes())
+        blob[4:6] = (tensor.CONTAINER_VERSION + 1).to_bytes(2, "little")
+        path.write_bytes(bytes(blob))
+        assert main(["eval", "--ckpt", str(path), "--data", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: unsupported container version 2" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("spec,message", [
         ([0, 2, 16], "malformed 'spec'"),
         ([0.5, 2, 16, 16], "malformed 'spec'"),

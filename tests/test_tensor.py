@@ -82,6 +82,12 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(ValueError, match=r"\(2,1\)"):
             tensor.softmax_cross_entropy(logits, labels)
 
+    def test_logits_without_batch_axis_rejected(self):
+        with pytest.raises(ValueError, match=r"logits must be \(1,C,H,W\), "
+                                             r"got \(2, 3, 3\)"):
+            tensor.softmax_cross_entropy(np.zeros((2, 3, 3)),
+                                         np.zeros((1, 3, 3), dtype=np.int64))
+
     def test_stability_with_large_logits(self):
         logits = np.full((1, 2, 2, 2), 1e4)
         labels = np.zeros((1, 2, 2), dtype=np.int64)

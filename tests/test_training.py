@@ -38,6 +38,10 @@ class TestTrain:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make()
 
+    def test_empty_training_set_errors(self):
+        with pytest.raises(ValueError, match="^empty training set$"):
+            train(tiny_model(), [], TrainConfig(iterations=1))
+
     def test_one_iteration_changes_some_parameter(self, tiny_corpus):
         train_set, _ = tiny_corpus
         model = tiny_model(seed=1)
