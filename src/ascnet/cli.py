@@ -248,13 +248,14 @@ def _cmd_ratefield(args):
     # corpus file, or a rate field that `model_forward` finds non-finite
     # as it does in `eval`, leaves no partial export behind.
     labels = None
-    lbl_path = data.label_path(img_path)
+    pair = data.corpus_pair(img_path)
     meta_path = img_path.parent / "meta.csv"
-    if lbl_path is not None and lbl_path.exists():
+    if pair is not None and pair[1].exists():
+        index, lbl_path = pair
         labels = data.read_label(lbl_path, image.shape[2:])
         meta = []
         if meta_path.exists():
-            meta = data.read_meta(meta_path).get(data.image_index(img_path), [])
+            meta = data.read_meta(meta_path).get(index, [])
 
     _, rates = models.model_forward(model, image)
     data.export_rate_field(rates, args.out_prefix)

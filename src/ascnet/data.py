@@ -1,4 +1,4 @@
-"""Synthetic multi-scale segmentation corpus, preprocessing, overlap
+"""Synthetic multi-scale segmentation corpus, image decoding, overlap
 metrics, and image/rate-field file I/O (binary PGM, CSV, corpus layout).
 
 The generated images contain non-overlapping disks from two radius
@@ -102,15 +102,6 @@ def _is_number(value, integral: bool) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def preprocess(raw: np.ndarray) -> np.ndarray:
-    """Normalize to zero mean, unit variance. Errors on constant input."""
-    raw = np.asarray(raw, dtype=np.float32)
-    std = raw.std()
-    if std == 0:
-        raise ValueError("cannot normalize a constant image (zero variance)")
-    return (raw - raw.mean()) / std
-
-
 def _place_disks(rng, cfg):
     """Sample non-overlapping disk placements; raises after bounded retries."""
     disks = []
@@ -206,11 +197,13 @@ def overlap_metrics(inter, np_, nt) -> dict:
 _PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*\n)*([^\s#]+)")
 
 
-def write_pgm(path, values: np.ndarray, maxval: int = 65535) -> None:
+def write_pgm(path, values: np.ndarray, maxval: int) -> None:
     """Write a 2-D integer array as binary PGM (P5)."""
     values = np.asarray(values)
     if values.ndim != 2:
         raise ValueError(f"PGM payload must be 2-D, got shape {values.shape}")
+    if not np.issubdtype(values.dtype, np.integer):
+        raise ValueError(f"PGM payload must be integers, got dtype {values.dtype}")
     if not (0 < maxval < 65536):
         raise ValueError("maxval must be in [1, 65535]")
     if values.min() < 0 or values.max() > maxval:
@@ -338,23 +331,29 @@ def write_samples(samples, directory) -> None:
                 writer.writerow([i, _fmt(cy), _fmt(cx), _fmt(radius)])
 
 
-def label_path(img_path):
-    """The label file of corpus image img_<rest> (lbl_<rest>), or None for
-    a name outside the corpus rule."""
-    img_path = Path(img_path)
-    if not img_path.name.startswith("img_"):
+def corpus_pair(path):
+    """(index, label path) of corpus image img_<digits>.pgm, whose label is
+    lbl_<digits>.pgm beside it; None for a name that does not start with
+    img_. Any other img_* name is an error naming the file."""
+    path = Path(path)
+    if not path.name.startswith("img_"):
         return None
-    return img_path.with_name("lbl_" + img_path.name[len("img_"):])
+    m = re.fullmatch(r"img_([0-9]+)\.pgm", path.name)
+    if m is None:
+        raise ValueError(f"{path}: corpus image names must be img_<digits>.pgm")
+    return int(m[1]), path.with_name(f"lbl_{m[1]}.pgm")
 
 
 def decode(pixels, maxval, source):
-    """The (1,1,H,W) float32 image of PGM `pixels` at `maxval`; errors
-    name `source`."""
-    try:
-        image = preprocess(pixels.astype(np.float32) / maxval)
-    except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from None
-    return image.reshape(1, 1, *pixels.shape)
+    """The (1,1,H,W) float32 image of PGM `pixels` at `maxval`: divided by
+    maxval, then normalized to zero mean and unit variance. A constant
+    image is an error naming `source`."""
+    raw = pixels.astype(np.float32) / maxval
+    std = raw.std()
+    if std == 0:
+        raise ValueError(f"{source}: cannot normalize a constant image "
+                         "(zero variance)")
+    return ((raw - raw.mean()) / std).reshape(1, 1, *pixels.shape)
 
 
 def read_label(path, dims):
@@ -369,14 +368,6 @@ def read_label(path, dims):
         raise ValueError(f"{path}: label value {lbl[y, x]} at pixel ({y},{x}) "
                          "is not 0 or 1")
     return lbl
-
-
-def image_index(path) -> int:
-    """The sample index in a corpus image name, img_<digits>.pgm."""
-    m = re.fullmatch(r"img_([0-9]+)\.pgm", Path(path).name)
-    if m is None:
-        raise ValueError(f"{path}: corpus image names must be img_<digits>.pgm")
-    return int(m.group(1))
 
 
 def read_meta(path) -> dict:
@@ -400,7 +391,7 @@ def read_meta(path) -> dict:
 
 def load_image_dir(path) -> list:
     """Load img_*.pgm / lbl_*.pgm pairs (plus meta.csv when present) as
-    preprocessed samples, all of one image size. Errors name the offending
+    decoded samples, all of one image size. Errors name the offending
     file."""
     path = Path(path)
     imgs = sorted(path.glob("img_*.pgm"))
@@ -411,12 +402,11 @@ def load_image_dir(path) -> list:
 
     samples, path_of = [], {}
     for img_path in imgs:
-        idx = image_index(img_path)
+        idx, lbl_path = corpus_pair(img_path)
         if idx in path_of:
             raise ValueError(f"{img_path}: sample index {idx} is also that of "
                              f"{path_of[idx]}")
         path_of[idx] = img_path
-        lbl_path = label_path(img_path)
         if not lbl_path.exists():
             raise ValueError(f"{img_path}: missing label file {lbl_path.name}")
         pixels, maxval = read_pgm(img_path)

@@ -48,12 +48,11 @@ class ModelSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown model variant {self.variant!r}")
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be >= 2")
-        for name in ("height", "width", "in_channels"):
+        for name, least in (("num_classes", 2), ("height", 1), ("width", 1),
+                            ("in_channels", 1)):
             value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"{name}: {value!r} must be >= 1")
+            if value < least:
+                raise ValueError(f"{name}: {value!r} must be >= {least}")
 
     def check_input(self, shape, source, model_source) -> None:
         """Raise ValueError unless an image `shape` (..., C, H, W) ends in
@@ -121,13 +120,13 @@ def build_model(spec: ModelSpec, rng, dtype=np.float32) -> Model:
     return Model(spec, layers, ratenet)
 
 
-def build_reduced_asc_model(num_asc_layers, seed=0) -> Model:
-    """Shallow float64 adaptive model on 8x8 images (4 hidden channels, 2
-    classes) for gradient checking; not a ModelSpec variant."""
+def build_reduced_asc_model(seed=0) -> Model:
+    """Shallow float64 adaptive model on 8x8 images (two adaptive convs, 4
+    hidden channels, 2 classes) for gradient checking; not a ModelSpec
+    variant."""
     rng = tensor.make_rng(seed)
     ratenet = _build_ratenet(rng, 1, np.float64)
-    layers = _he_layers(rng, 1, [4] * (num_asc_layers - 1) + [2], ADAPTIVE,
-                        np.float64)
+    layers = _he_layers(rng, 1, [4, 2], ADAPTIVE, np.float64)
     return Model(ModelSpec(ASCNET7, 2, 8, 8, 1), layers, ratenet)
 
 
@@ -188,7 +187,10 @@ def rate_network_backward(net, cache, grad_rates):
 def model_forward(model: Model, image, return_cache=False):
     """Run the network. Returns (logits, rates) where rates is None for the
     classic/dilated variants. With return_cache=True also returns the
-    activation cache required by `model_backward`."""
+    activation cache `model_backward` reads: each trunk layer's "inputs",
+    "preacts" and "asc_caches" (conv caches, which hold the shared
+    sampling plan), and the rate network's cache "ratenet" (None for a
+    variant without one)."""
     rates = plan = ratenet_cache = None
     if model.is_adaptive:
         out = rate_network_forward(image, model.ratenet, return_cache)
@@ -197,7 +199,7 @@ def model_forward(model: Model, image, return_cache=False):
 
     logits, cache = _stack_forward(model.layers, image, plan, False, return_cache)
     if return_cache:
-        cache.update(rates=rates, plan=plan, ratenet=ratenet_cache)
+        cache["ratenet"] = ratenet_cache
         return logits, rates, cache
     return logits, rates
 

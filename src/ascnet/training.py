@@ -89,8 +89,7 @@ def train(model, samples, cfg: TrainConfig):
 
 @dataclass
 class EvalResult:
-    per_class: dict          # class -> {"dice": ..., "precision": ..., "recall": ...}
-    dice: float              # mean over foreground classes
+    dice: float              # means over the foreground classes
     precision: float
     recall: float
 
@@ -101,37 +100,32 @@ class EvalResult:
 
 
 def evaluate(model, samples, pooled: bool = False) -> EvalResult:
-    """Argmax segmentation metrics. Per-image means by default; with
-    pooled=True counts are pooled over the whole dataset instead."""
+    """Argmax segmentation metrics of the foreground classes, averaged over
+    them. Per-image means by default; with pooled=True counts are pooled
+    over the whole dataset instead."""
     if not samples:
         raise ValueError("empty evaluation set")
     for i, s in enumerate(samples):
         model.spec.check_input(s.image.shape, f"sample {i}", "the model")
-    num_classes = model.spec.num_classes
-    counts = {c: [] for c in range(num_classes)}   # per image (|P&T|, |P|, |T|)
+    fg = range(1, model.spec.num_classes)
+    counts = {c: [] for c in fg}   # per image (|P&T|, |P|, |T|)
     for s in samples:
         logits, _ = models.model_forward(model, s.image)
         pred = logits[0].argmax(axis=0)
         lab = s.labels.reshape(pred.shape)
-        for c in range(num_classes):
+        for c in fg:
             counts[c].append(data.overlap_counts(pred == c, lab == c))
 
-    per_class = {}
-    for c, rows in counts.items():
+    scores = []    # one {"dice", "precision", "recall"} per class
+    for rows in counts.values():
         if pooled:
-            per_class[c] = data.overlap_metrics(*(sum(col) for col in zip(*rows)))
+            scores.append(data.overlap_metrics(*(sum(col) for col in zip(*rows))))
         else:
             per_image = [data.overlap_metrics(*r) for r in rows]
-            per_class[c] = {k: float(np.mean([m[k] for m in per_image]))
-                            for k in per_image[0]}
-
-    fg = range(1, num_classes)
-    return EvalResult(
-        per_class,
-        float(np.mean([per_class[c]["dice"] for c in fg])),
-        float(np.mean([per_class[c]["precision"] for c in fg])),
-        float(np.mean([per_class[c]["recall"] for c in fg])),
-    )
+            scores.append({k: float(np.mean([m[k] for m in per_image]))
+                           for k in per_image[0]})
+    return EvalResult(*(float(np.mean([m[k] for m in scores]))
+                        for k in ("dice", "precision", "recall")))
 
 
 # --- Gradient checking -----------------------------------------------------
@@ -223,7 +217,7 @@ def _check_net(target, seed):
     network's under a loss on the rate field ("ratenet"), or all under
     cross-entropy."""
     rng = tensor.make_rng(seed)
-    model = models.build_reduced_asc_model(2, seed=seed)
+    model = models.build_reduced_asc_model(seed=seed)
     # A random rate network exercises the rate path away from the all-ones
     # init, whose integer rates sit on tent-kernel kinks. It is redrawn while
     # a ReLU input or a positive rate lies within `KINK_MARGIN` of a kink.

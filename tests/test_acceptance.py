@@ -10,6 +10,7 @@ import multiprocessing
 import os
 import statistics
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from unittest import mock
 
@@ -153,6 +154,13 @@ def _comparison_job(variant, seed):
     return dice, {k: v[0] / v[1] for k, v in sums.items()}
 
 
+def _runtime_warnings_as_errors():
+    """Worker initializer: a numpy overflow or invalid-value warning fails
+    the run, as pyproject's filter does in the test process, which spawned
+    workers do not inherit."""
+    warnings.simplefilter("error", RuntimeWarning)
+
+
 @pytest.fixture(scope="module")
 def comparison_runs():
     """Train classic7/dilated7/ascnet7 for each seed on the default corpus,
@@ -163,7 +171,8 @@ def comparison_runs():
     jobs = [(v, seed) for v in ("ascnet7", "dilated7", "classic7") for seed in SEEDS]
     spawn = multiprocessing.get_context("spawn")
     with mock.patch.dict(os.environ, dict.fromkeys(_BLAS_THREAD_VARS, "1")), \
-            ProcessPoolExecutor(min(9, os.cpu_count()), mp_context=spawn) as pool:
+            ProcessPoolExecutor(min(9, os.cpu_count()), mp_context=spawn,
+                                initializer=_runtime_warnings_as_errors) as pool:
         futures = [pool.submit(_comparison_job, *job) for job in jobs]
         outcomes = [f.result() for f in futures]
     results = {v: [] for v, _ in jobs}

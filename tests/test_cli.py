@@ -378,6 +378,11 @@ class TestCorpusErrors:
         assert self._ratefield(tmp_path, extra) == 2
         assert str(extra) in capsys.readouterr().err
         assert not (tmp_path / "rf.csv").exists()
+        # The name rule holds without meta.csv too.
+        (test_dir / "meta.csv").unlink()
+        assert self._ratefield(tmp_path, extra) == 2
+        assert str(extra) in capsys.readouterr().err
+        assert not (tmp_path / "rf.csv").exists()
 
     def test_meta_without_index_column(self, corpus_copy, tmp_path, capsys):
         for split in ("test", "train"):
@@ -466,7 +471,7 @@ class TestCorpusErrors:
     def _write_doubled(img, index):
         """Write img's pair back into its directory as pair `index`, at
         twice its size."""
-        for src, prefix in ((img, "img"), (data.label_path(img), "lbl")):
+        for src, prefix in ((img, "img"), (data.corpus_pair(img)[1], "lbl")):
             values, _ = data.read_pgm(src)
             data.write_pgm(img.parent / f"{prefix}_{index:04d}.pgm",
                            values.repeat(2, axis=0).repeat(2, axis=1),
@@ -484,7 +489,7 @@ class TestCorpusErrors:
         test_dir = corpus_copy / "test"
         if case in ("train_split_doubled", "bench_split_doubled"):
             for img in sorted((corpus_copy / "train").glob("img_*.pgm")):
-                self._write_doubled(img, data.image_index(img))
+                self._write_doubled(img, data.corpus_pair(img)[0])
             if case == "bench_split_doubled":
                 argv = ["bench", "--data", str(corpus_copy), "--iters", "1",
                         "--seeds", "1"]

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from ascnet import data
 from ascnet.data import (
     SynthConfig,
+    decode,
     export_rate_field,
     generate_synth,
     load_image_dir,
     overlap_counts,
     overlap_metrics,
-    preprocess,
     rate_stats,
     read_pgm,
     write_pgm,
@@ -26,26 +26,29 @@ def small_cfg(**kw):
 
 
 class TestPreprocess:
+    """`decode` at maxval 1: the zero-mean, unit-variance normalization."""
+
     def test_ramp_normalized(self):
-        out = preprocess(np.arange(16.0).reshape(4, 4))
+        out = decode(np.arange(16.0).reshape(4, 4), 1, "ramp")
+        assert out.shape == (1, 1, 4, 4)
         assert abs(out.mean()) < 1e-5
         assert abs(out.std() - 1.0) < 1e-5
 
     def test_idempotent(self):
         rng = np.random.default_rng(0)
-        x = preprocess(rng.standard_normal((8, 8)))
-        again = preprocess(x)
+        x = decode(rng.standard_normal((8, 8)), 1, "x")[0, 0]
+        again = decode(x, 1, "x")[0, 0]
         assert np.allclose(again, x, atol=1e-6)
 
     def test_statistics_recomputed(self):
         rng = np.random.default_rng(1)
         raw = rng.uniform(0, 1, (16, 16))
-        out = preprocess(raw)
+        out = decode(raw, 1, "raw")[0, 0]
         assert np.allclose(out * raw.std() + raw.mean(), raw, atol=1e-5)
 
     def test_constant_image_rejected(self):
-        with pytest.raises(ValueError, match="constant"):
-            preprocess(np.full((4, 4), 3.0))
+        with pytest.raises(ValueError, match="flat: cannot normalize a constant"):
+            decode(np.full((4, 4), 3.0), 1, "flat")
 
 
 class TestGenerateSynth:
@@ -185,7 +188,9 @@ class TestPgm:
         (np.zeros((2, 2), np.uint8), 0, r"maxval must be in \[1, 65535\]"),
         (np.zeros((2, 2), np.uint16), 65536, r"maxval must be in \[1, 65535\]"),
         (np.array([[7, 101]]), 100, "PGM sample values out of range"),
-    ], ids=["1d", "maxval-0", "maxval-65536", "above-maxval"])
+        (np.array([[0.7, 254.9]]), 255, "PGM payload must be integers"),
+        (np.array([[np.nan, 1.0]]), 255, "PGM payload must be integers"),
+    ], ids=["1d", "maxval-0", "maxval-65536", "above-maxval", "float", "nan"])
     def test_write_rejects_what_cannot_be_read_back(self, tmp_path, values,
                                                    maxval, message):
         path = tmp_path / "x.pgm"
@@ -330,8 +335,8 @@ class TestCorpusIO:
         (s,) = load_image_dir(src)
         assert s.maxval == 4095 and np.array_equal(s.pixels, values)
         # decode scales by the file's own white, not by the dtype's.
-        want = data.preprocess(values.astype(np.float32) / 4095)
-        assert s.image.tobytes() == want.tobytes()
+        raw = values.astype(np.float32) / 4095
+        assert s.image.tobytes() == ((raw - raw.mean()) / raw.std()).tobytes()
         data.write_samples([s], tmp_path / "out")
         blob = (tmp_path / "out" / "img_0000.pgm").read_bytes()
         assert blob == (src / "img_0000.pgm").read_bytes()

@@ -144,27 +144,29 @@ class TestModelForward:
         _, rates, cache = models.model_forward(m, image, return_cache=True)
         plans = {id(c[0]) for c in cache["asc_caches"]}
         assert len(plans) == 1  # every adaptive layer consumed the same plan
-        assert np.array_equal(cache["plan"].rates, rates.reshape(-1))
+        assert np.array_equal(cache["asc_caches"][0][0].rates, rates.reshape(-1))
 
     @pytest.mark.parametrize("variant", ["classic7", "ascnet7"])
     def test_cache_layout(self, variant):
         m = build_model(ModelSpec(variant, height=12, width=12), 2)
         image = np.random.default_rng(0).standard_normal((1, 1, 12, 12)).astype(np.float32)
         logits, rates, cache = models.model_forward(m, image, return_cache=True)
+        assert set(cache) == {"inputs", "preacts", "asc_caches", "ratenet"}
         for key in ("inputs", "preacts", "asc_caches"):
             assert len(cache[key]) == 7
         assert cache["inputs"][0] is image
         assert cache["preacts"][-1] is logits   # no ReLU on the logits
-        assert cache["rates"] is rates
         if variant == "classic7":
-            assert cache["plan"] is None and cache["ratenet"] is None
+            assert rates is None and cache["ratenet"] is None
             assert all(c is None for c in cache["asc_caches"])
             return
         ratenet = cache["ratenet"]
         assert len(ratenet["inputs"]) == len(ratenet["preacts"]) == 3
         assert ratenet["inputs"][0] is image
         assert np.array_equal(np.maximum(ratenet["preacts"][-1], 0), rates)
-        assert all(c[0] is cache["plan"] for c in cache["asc_caches"])
+        plan = cache["asc_caches"][0][0]
+        assert all(c[0] is plan for c in cache["asc_caches"])
+        assert np.array_equal(plan.rates, rates.reshape(-1))
 
 
 class TestModelBackward:
@@ -200,7 +202,7 @@ class TestModelBackward:
                                atol=1e-6)
 
     def test_every_parameter_gets_finite_gradient(self):
-        m = models.build_reduced_asc_model(2, seed=0)
+        m = models.build_reduced_asc_model(seed=0)
         rng = tensor.make_rng(1)
         for layer in m.ratenet.layers:
             layer.weights[...] = tensor.he_init(rng, layer.weights.shape,
@@ -218,9 +220,9 @@ class TestModelBackward:
 
 
     def test_reduced_model_layout(self):
-        m = models.build_reduced_asc_model(3, seed=4)
+        m = models.build_reduced_asc_model(seed=4)
         assert (m.spec.height, m.spec.width, m.spec.num_classes) == (8, 8, 2)
-        assert [l.out_channels for l in m.layers] == [4, 4, 2]
+        assert [l.out_channels for l in m.layers] == [4, 2]
         assert all(l.kind == ADAPTIVE for l in m.layers)
         assert all(a.dtype == np.float64 for a in models.param_dict(m).values())
 
@@ -356,7 +358,7 @@ class TestCheckpoint:
         ([0, 2, 16], "malformed 'spec'"),
         ([0.5, 2, 16, 16], "malformed 'spec'"),
         ([np.nan, 2, 16, 16], "malformed 'spec'"),
-        ([0, 1, 16, 16], "num_classes must be >= 2"),
+        ([0, 1, 16, 16], "num_classes: 1 must be >= 2"),
         ([0, 2, -5, 16], "height: -5 must be >= 1"),
     ])
     def test_malformed_spec_rejected(self, tmp_path, spec, message):
