@@ -5,12 +5,10 @@ All operators use stride 1 and zero padding sized to preserve spatial
 dimensions. Forward and backward passes are hand-written; the adaptive
 operator additionally produces the gradient with respect to the rate field.
 
-Every forward takes one of two forms, by one rule for every kind. A
-forward that keeps a cache (return_cache, so a backward follows), or
-whose layer widens (more output than input channels), samples first: it
-gathers (C, 9, H*W) tap columns and contracts them, W·cols + b. Training
-keeps this form, because the adaptive backward reuses the tap columns
-for the weight gradient. Any other forward mixes first: the layer is
+Every forward takes one of two forms, by one rule for every kind, in
+training and inference alike. A layer that widens (more output than
+input channels) samples first: it gathers (C, 9, H*W) tap columns and
+contracts them, W·cols + b. Every other layer mixes first: the layer is
 linear, so Σ_t W_t·S_t(X) = Σ_t S_t(X·W_t), and one shared `_mix`
 forms every tap's (H*W, O) product before a single spatial step. That
 skips the nine per-tap transposes that build the tap columns, and at
@@ -18,10 +16,16 @@ skips the nine per-tap transposes that build the tap columns, and at
 bias in place and is returned as a transposed view, with no copy, which
 the next mixed layer reads as a C-contiguous (H*W, C) operand.
 
+Every backward is one adjoint: each tap's spatial step carries the
+output gradient back as (9, O, H*W) tap gradients (`_shift_adjoint`, or
+`SamplingPlan.rows` transposed), and one shared `_unmix` forms the weight
+and input gradients with two GEMMs. The adaptive rate gradient is the
+row-wise dot of the output gradient with the forward's cached factor P.
+
 Classic is dilated at rate 1, and a constant integer rate field makes
-the adaptive operator reproduce both bit for bit, in either form.
-`conv_forward`/`conv_backward` choose the operator for a layer's kind,
-so callers never branch on it.
+the adaptive operator reproduce both bit for bit, in either form, and
+its weight gradient too. `conv_forward`/`conv_backward` choose the
+operator for a layer's kind, so callers never branch on it.
 """
 
 from __future__ import annotations
@@ -132,22 +136,27 @@ def _check_input(x: np.ndarray, layer: ConvLayer, kind: str,
 def _contract(cols: np.ndarray, layer: ConvLayer) -> np.ndarray:
     """W·cols + b: (C, 9, N) tap columns -> (O, N) output."""
     wmat = layer.weights.reshape(layer.out_channels, -1)
-    bias = layer.bias[:, None].astype(cols.dtype)
-    return wmat @ cols.reshape(wmat.shape[1], -1) + bias
+    y = wmat @ cols.reshape(wmat.shape[1], -1)
+    y += layer.bias[:, None].astype(cols.dtype)
+    return y
 
 
-def _samples_first(layer: ConvLayer, return_cache: bool) -> bool:
-    """The form rule: sample first when a backward will follow or the
-    layer widens; otherwise mix the channels first."""
-    return return_cache or layer.out_channels > layer.in_channels
+def _samples_first(layer: ConvLayer) -> bool:
+    """The form rule: sample first when the layer widens; otherwise mix
+    the channels first."""
+    return layer.out_channels > layer.in_channels
+
+
+def _tap_weights(layer: ConvLayer) -> np.ndarray:
+    """Each tap's (C, O) weights, as C-contiguous (9, C, O)."""
+    w9 = layer.weights.reshape(layer.out_channels, layer.in_channels, 9)
+    return np.ascontiguousarray(w9.transpose(2, 1, 0))
 
 
 def _mix(x3: np.ndarray, layer: ConvLayer) -> np.ndarray:
     """Channels mixed before sampling: the (N, C) transposed input times
     each tap's (C, O) weights, as (9, N, O); shared by every kind."""
-    c = x3.shape[0]
-    w9 = layer.weights.reshape(layer.out_channels, c, 9).transpose(2, 1, 0)
-    return np.matmul(x3.reshape(c, -1).T, np.ascontiguousarray(w9))
+    return np.matmul(x3.reshape(x3.shape[0], -1).T, _tap_weights(layer))
 
 
 def _finish(y: np.ndarray, layer: ConvLayer, h: int, w: int) -> np.ndarray:
@@ -158,12 +167,14 @@ def _finish(y: np.ndarray, layer: ConvLayer, h: int, w: int) -> np.ndarray:
     return y.T.reshape(1, -1, h, w)
 
 
-def _param_grads(cols: np.ndarray, layer: ConvLayer, g: np.ndarray):
-    """Adjoint of `_contract` for the parameters, given the (O, N) output
-    gradient g: returns (grad_w, grad_b). OpenBLAS forms (cols @ gᵀ)ᵀ 1.4-1.8x
-    faster than g @ colsᵀ, and with the same bits at the models' shapes."""
-    grad_w = (cols.reshape(-1, g.shape[1]) @ g.T).T
-    return grad_w.reshape(layer.weights.shape), g.sum(axis=1)
+def _unmix(ut: np.ndarray, x2: np.ndarray, layer: ConvLayer):
+    """Adjoint of `_mix` for (9, O, N) tap gradients and the (C, N) input:
+    (grad_x as (C, N), grad_w) from two tall GEMMs, shared by every kind."""
+    o, c = layer.out_channels, layer.in_channels
+    u = ut.reshape(9 * o, -1)
+    grad_w = (u @ x2.T).reshape(9, o, c).transpose(1, 2, 0)
+    wt = layer.weights.reshape(o, c, 9).transpose(1, 2, 0).reshape(c, 9 * o)
+    return wt @ u, np.ascontiguousarray(grad_w).reshape(layer.weights.shape)
 
 
 @functools.lru_cache(maxsize=64)
@@ -197,18 +208,6 @@ def _integer_cols(x3: np.ndarray, rate: int) -> np.ndarray:
     return cols
 
 
-def _cols_to_image(grad_cols: np.ndarray, rate: int, h: int, w: int):
-    """Adjoint of `_integer_cols`: add each tap's columns back onto the
-    image, in TAP_OFFSETS order, as one flat run after zeroing the tap's
-    wrap columns in place; +0.0 changes no bit of a sum started at +0."""
-    rows = grad_cols.reshape(-1, 9, h, w)
-    grad_x = np.zeros((1, rows.shape[0], h * w), dtype=grad_cols.dtype)
-    for t, (lo, hi, s, wrap) in enumerate(_flat_shifts(h, w, rate)):
-        rows[:, t, :, wrap] = 0
-        grad_x[0, :, lo + s:hi + s] += grad_cols[:, t, lo:hi]
-    return grad_x.reshape(1, -1, h, w)
-
-
 def _shift_sum(z: np.ndarray, rate: int, h: int, w: int) -> np.ndarray:
     """Spatial step of the mixed form for integer taps: each tap's (N, O)
     product `z[t]` is added at its flat shifted run, in TAP_OFFSETS order,
@@ -225,16 +224,31 @@ def _shift_sum(z: np.ndarray, rate: int, h: int, w: int) -> np.ndarray:
     return y
 
 
+def _shift_adjoint(g: np.ndarray, rate: int, h: int, w: int) -> np.ndarray:
+    """Adjoint of `_shift_sum`: the (O, N) output gradient carried back
+    through each tap's flat shifted run, as (9, O, N) tap gradients. A run
+    is added onto +0, as a CSR product adds it; the rest of a tap's row,
+    and the columns its run reads across a row edge, are zero."""
+    ut = np.empty((9,) + g.shape, dtype=g.dtype)
+    rows = ut.reshape(9, -1, h, w)
+    shifts = _flat_shifts(h, w, rate)
+    for t, ((lo, hi, s, _), (*_, wrap)) in enumerate(zip(shifts, reversed(shifts))):
+        np.add(g[:, lo:hi], 0, out=ut[t, :, lo + s:hi + s])
+        ut[t, :, :lo + s] = ut[t, :, hi + s:] = 0
+        rows[t, :, :, wrap] = 0
+    return ut
+
+
 # Integer taps are flat shifted copies of the image: the sampling operator
 # gives the same columns at several times the cost per layer.
 def _int_forward(x, layer, kind, return_cache):
     x3 = _check_input(x, layer, kind)
     _, h, w = x3.shape
-    if _samples_first(layer, return_cache):
+    if _samples_first(layer):
         y = _contract(_integer_cols(x3, layer.rate), layer).reshape(1, -1, h, w)
     else:
         y = _finish(_shift_sum(_mix(x3, layer), layer.rate, h, w), layer, h, w)
-    # The integer backward gathers its columns from x again: no cache.
+    # The integer backward reads only x and the output gradient: no cache.
     return (y, None) if return_cache else y
 
 
@@ -242,22 +256,18 @@ def _int_backward(x, layer, grad_y, kind):
     x3 = _check_input(x, layer, kind, grad_y)
     c, h, w = x3.shape
     g = grad_y.reshape(layer.out_channels, h * w)
-    # The input columns are freed before the gradient columns are formed,
-    # so only one (C, 9, H*W) array is alive at a time.
-    grad_w, grad_b = _param_grads(_integer_cols(x3, layer.rate), layer, g)
-    grad_cols = layer.weights.reshape(layer.out_channels, c * 9).T @ g
-    return _cols_to_image(grad_cols.reshape(c, 9, -1), layer.rate, h, w), grad_w, grad_b
+    grad_x, grad_w = _unmix(_shift_adjoint(g, layer.rate, h, w), x3.reshape(c, -1), layer)
+    return grad_x.reshape(1, c, h, w), grad_w, g.sum(axis=1)
 
 
 def conv_classic_forward(x: np.ndarray, layer: ConvLayer, return_cache=False):
-    """Classic 3x3 convolution; with return_cache, (y, None) in the form
-    a backward pairs with."""
+    """Classic 3x3 convolution; with return_cache, (y, None)."""
     return _int_forward(x, layer, CLASSIC, return_cache)
 
 
 def conv_dilated_forward(x: np.ndarray, layer: ConvLayer, return_cache=False):
     """Dilated 3x3 convolution at `layer.rate`; with return_cache,
-    (y, None) in the form a backward pairs with."""
+    (y, None)."""
     return _int_forward(x, layer, DILATED, return_cache)
 
 
@@ -281,11 +291,11 @@ class SamplingPlan:
     centre tap's three. `D` holds the weights' derivatives with respect
     to the pixel's rate on the same sparsity pattern. `taps` holds the
     nine (H*W, H*W) row blocks of `S`, one per tap, as zero-copy CSR views
-    of its arrays; the sample-first forward reads every channel one tap
-    block at a time. `rows` and `ST`, the mixed forward's and the input
-    gradient's regroupings of `S`, are built on first use and kept; `rows`
-    keeps only `S`'s non-zero entries. Shared by every adaptive layer
-    consuming the same rate field.
+    of its arrays; a widening layer's forward reads every channel one tap
+    block at a time. `rows` and `Drows`, `S` and `D` regrouped by output
+    pixel without their zeros, serve every other forward and every
+    backward; they are built on first use and kept. Shared by every
+    adaptive layer consuming the same rate field.
     """
 
     height: int
@@ -313,21 +323,14 @@ class SamplingPlan:
         """(9, 4, H*W) rate derivative of the tent weight; a view of `D.data`."""
         return self._corner_view(self.D.data)
 
-    @functools.cached_property
-    def rows(self):
-        """(H*W, 9*H*W) CSR: `S` regrouped into one row per output pixel,
-        holding its nine taps' non-zero corners in tap order, tap t's in
-        column block t. The mixed forward's one spatial product.
-
-        `S`'s zeros are dropped: 11 of a pixel's 36 corners are always
-        zero (a tap's second corner along an axis it does not move on),
-        and off-image and integer-rate corners weigh exactly 0. So at an
-        integer rate a row adds its weight-1 corners in tap order from
-        +0, as `_shift_sum` does."""
+    def _by_pixel(self, op):
+        """`op` (`S` or `D`) regrouped into one (H*W, 9*H*W) CSR row per
+        output pixel, holding its nine taps' non-zero corners in tap order,
+        tap t's in column block t."""
         from scipy import sparse
 
         n = self.height * self.width
-        idx = self.S.indices.reshape(9, n, 4)
+        idx = op.indices.reshape(9, n, 4)
         blocks = np.arange(0, 9 * n, n, dtype=idx.dtype)[:, None, None]
 
         def by_pixel(a):
@@ -337,16 +340,29 @@ class SamplingPlan:
             return np.ascontiguousarray(corners.transpose(1, 0, 2)).view(a.dtype).reshape(-1)
 
         indptr = np.arange(0, 36 * n + 1, 36, dtype=idx.dtype)
-        rows = sparse.csr_array((by_pixel(self.S.data), by_pixel(idx + blocks), indptr),
+        rows = sparse.csr_array((by_pixel(op.data), by_pixel(idx + blocks), indptr),
                                 shape=(n, 9 * n))
         rows.eliminate_zeros()
         return rows
 
     @functools.cached_property
-    def ST(self):
-        """`S` transposed, (H*W, 9*H*W) CSC on S's arrays: the input
-        gradient's operator, shared by every adaptive backward."""
-        return self.S.T
+    def rows(self):
+        """`S` by output pixel: the mixed forward's spatial product, and
+        transposed (a CSC view), every adaptive backward's adjoint.
+
+        `S`'s zeros are dropped: 11 of a pixel's 36 corners are always
+        zero (a tap's second corner along an axis it does not move on),
+        and off-image and integer-rate corners weigh exactly 0. So at an
+        integer rate a row adds its weight-1 corners in tap order from
+        +0, as `_shift_sum` does, and its transpose adds each output
+        gradient onto +0 once, as `_shift_adjoint` does."""
+        return self._by_pixel(self.S)
+
+    @functools.cached_property
+    def Drows(self):
+        """`D` by output pixel, without its zeros: times the mixed tap
+        products, a training forward's rate-gradient factor."""
+        return self._by_pixel(self.D)
 
 
 class NonFiniteRates(ValueError):
@@ -430,13 +446,11 @@ def build_sampling_plan(rates: np.ndarray, h: int, w: int) -> SamplingPlan:
     return SamplingPlan(h, w, r, S, D, tuple(taps))
 
 
-def _sample(x3: np.ndarray, plan: SamplingPlan):
-    """Bilinear reads of every tap and channel through `plan`: returns the
-    adaptive cache (plan, (H*W, C) transposed input, C-contiguous
-    (C, 9, H*W) tap columns)."""
-    c, h, w = x3.shape
-    n = h * w
-    xt = np.ascontiguousarray(x3.reshape(c, n).T)
+def _sample(xt: np.ndarray, plan: SamplingPlan) -> np.ndarray:
+    """Bilinear reads of every tap and channel of the C-contiguous (H*W, C)
+    transposed input through `plan`, as C-contiguous (C, 9, H*W) tap
+    columns."""
+    n, c = xt.shape
     # Channel-major columns feed the same contraction as the integer convs,
     # which keeps rate 1 bit-identical to classic. Each tap block's (N, C)
     # product is transposed into place while it is still in cache. A
@@ -446,7 +460,27 @@ def _sample(x3: np.ndarray, plan: SamplingPlan):
     sampled = np.empty((c, 9, n), dtype=np.result_type(plan.S.dtype, xt.dtype))
     for t, s_t in enumerate(plan.taps):
         sampled[:, t] = (s_t @ xt).T
-    return plan, xt, sampled
+    return sampled
+
+
+def _asc_forward(x3, layer, plan, return_cache):
+    """The adaptive forward; its cache is (plan, (C, H*W) input, P), where
+    P = Σ_t D_t·X·W_tᵀ is the output's (H*W, O) derivative by each rate."""
+    c, h, w = x3.shape
+    n = h * w
+    x2 = x3.reshape(c, n)
+    if _samples_first(layer):
+        xt = np.ascontiguousarray(x2.T)
+        y = _contract(_sample(xt, plan), layer).reshape(1, -1, h, w)
+        if return_cache:    # W·(D-sampled columns), as one (N, 9C) GEMM
+            dcols = (plan.D @ xt).reshape(9, n, c).transpose(1, 0, 2).reshape(n, 9 * c)
+            p = dcols @ _tap_weights(layer).reshape(9 * c, -1)
+    else:
+        z = _mix(x3, layer).reshape(9 * n, -1)
+        y = _finish(plan.rows @ z, layer, h, w)
+        if return_cache:
+            p = plan.Drows @ z
+    return (y, (plan, x2, p)) if return_cache else y
 
 
 def asc_conv_forward(x, layer, rates, plan=None, return_cache=False):
@@ -454,10 +488,9 @@ def asc_conv_forward(x, layer, rates, plan=None, return_cache=False):
 
     rates is a (1,1,H,W) non-negative field sampled at the output pixel and
     shared across all channels and taps. Pass a precomputed `plan` to share
-    geometry across layers consuming the same field. The cache is
-    (plan, transposed input, tap columns). Without return_cache, a layer
-    that does not widen mixes its channels first and samples through
-    `plan.rows`.
+    geometry across layers consuming the same field. A layer that does not
+    widen mixes its channels first and samples through `plan.rows`. The
+    cache is (plan, input, (H*W, O) rate-gradient factor).
     """
     x3 = _check_input(x, layer, ADAPTIVE)
     _, h, w = x3.shape
@@ -465,56 +498,38 @@ def asc_conv_forward(x, layer, rates, plan=None, return_cache=False):
         plan = build_sampling_plan(rates, h, w)
     elif (plan.height, plan.width) != (h, w):
         raise ValueError("sampling plan dims do not match input")
-    if not _samples_first(layer, return_cache):
-        y = plan.rows @ _mix(x3, layer).reshape(9 * h * w, -1)
-        return _finish(y, layer, h, w)
-    cache = _sample(x3, plan)
-    y = _contract(cache[2], layer).reshape(1, -1, h, w)
-    if return_cache:
-        return y, cache
-    return y
+    return _asc_forward(x3, layer, plan, return_cache)
 
 
 def asc_conv_backward(x, layer, rates, grad_y, cache=None):
     """Gradients of the adaptive convolution for input, weights, bias and
-    the rate field. Returns (grad_x, grad_w, grad_bias, grad_rates)."""
+    the rate field. Returns (grad_x, grad_w, grad_bias, grad_rates).
+    Without a cache, the plan and the forward are built from `rates`."""
     x3 = _check_input(x, layer, ADAPTIVE, grad_y)
     c, h, w = x3.shape
     if cache is None:
-        cache = _sample(x3, build_sampling_plan(rates, h, w))
-    plan, xt, sampled = cache
+        cache = _asc_forward(x3, layer, build_sampling_plan(rates, h, w), True)[1]
+    plan, x2, p = cache
 
     n = h * w
     g = grad_y.reshape(layer.out_channels, n)
-    grad_w, grad_b = _param_grads(sampled, layer, g)
-    # Tap gradients in S's row order, (9*N, C): g^T @ W_t for each tap t.
-    wtaps = layer.weights.reshape(layer.out_channels, c, 9).transpose(2, 0, 1)
-    grad_taps = np.matmul(g.T, wtaps).reshape(9 * n, c)
-
-    grad_x = plan.ST @ grad_taps                          # (N, C)
-    grad_x = np.ascontiguousarray(grad_x.T, dtype=x3.dtype).reshape(1, c, h, w)
-
-    # d(output)/d(rate) at each pixel: the tent-weight derivatives read the
-    # input like S does, contracted with the tap gradients.
-    dtaps = plan.D @ xt                                   # (9*N, C)
-    grad_rates = np.einsum("ij,ij->i", dtaps, grad_taps).reshape(9, n).sum(axis=0)
-    grad_rates = grad_rates.reshape(1, 1, h, w)
-
-    return grad_x, grad_w, grad_b, grad_rates
+    # The tap gradients, (9*N, O) in S's row order, transposed once.
+    ut = (plan.rows.T @ g.T).reshape(9, n, -1).transpose(0, 2, 1)
+    grad_x, grad_w = _unmix(np.ascontiguousarray(ut), x2, layer)
+    grad_x = grad_x.astype(x3.dtype, copy=False).reshape(1, c, h, w)
+    grad_rates = np.einsum("no,on->n", p, g).reshape(1, 1, h, w)
+    return grad_x, grad_w, g.sum(axis=1), grad_rates
 
 
 def conv_forward(x, layer, plan=None, return_cache=False):
     """Forward of a layer of any kind; returns (y, cache).
 
     An adaptive layer reads the rate field through `plan`, which is then
-    required; with return_cache its (plan, transposed input, tap columns)
+    required; with return_cache its (plan, input, rate-gradient factor)
     cache is returned for `conv_backward`. Otherwise the cache is None.
 
-    return_cache also picks the form. With it, every kind samples first:
-    training's backward reuses the adaptive tap columns, and its bits stay
-    those of the sample-first code. Without it, a layer that does not
-    widen mixes its channels first; the integer kinds keep the form that
-    is bit-identical to the adaptive one.
+    The form depends only on the layer, never on return_cache: one that
+    widens samples first, and every other mixes its channels first.
     """
     if layer.kind == ADAPTIVE:
         if plan is None:

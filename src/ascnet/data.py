@@ -200,8 +200,8 @@ _PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*\n)*([^\s#]+)")
 def write_pgm(path, values: np.ndarray, maxval: int) -> None:
     """Write a 2-D integer array as binary PGM (P5)."""
     values = np.asarray(values)
-    if values.ndim != 2:
-        raise ValueError(f"PGM payload must be 2-D, got shape {values.shape}")
+    if values.ndim != 2 or 0 in values.shape:
+        raise ValueError(f"PGM payload must be 2-D and non-empty, got shape {values.shape}")
     if not np.issubdtype(values.dtype, np.integer):
         raise ValueError(f"PGM payload must be integers, got dtype {values.dtype}")
     if not (0 < maxval < 65536):

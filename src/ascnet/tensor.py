@@ -46,8 +46,9 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Gradient of relu. Subgradient at exactly 0 is 0."""
-    return grad_out * (x > 0)
+    """Gradient of relu. Subgradient at exactly 0 is 0. The mask takes
+    grad_out's layout: a mixed-form x is a transposed view."""
+    return grad_out * np.greater(x, 0, out=np.empty_like(grad_out, dtype=bool))
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -68,7 +69,7 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
             f"label {lab[yy, xx]} out of range [0,{c}) at pixel ({yy},{xx})"
         )
 
-    z = logits[0]
+    z = np.ascontiguousarray(logits[0])   # a mixed conv's output is a view
     zmax = z.max(axis=0)
     shifted = z - zmax
     e = np.exp(shifted)

@@ -35,7 +35,8 @@ def make_layer(rng, out_c, in_c, kind, rate=1):
 
 
 # (out channels of a 2-channel layer, return_cache): the mixed form (no
-# cache, no widening) and the sample-first form, reached both ways.
+# widening) and the sample-first form (widening), each with and without
+# a cache.
 FORM_CASES = ((2, False), (1, False), (3, False), (2, True), (3, True))
 
 
@@ -403,6 +404,22 @@ class TestIntConvBackward:
         assert gw.tobytes() == agw.tobytes() and gb.tobytes() == agb.tobytes()
         assert np.allclose(gx, agx, rtol=0, atol=1e-12)
 
+    # The models' layer shapes on a 64x64 map in float32, where BLAS takes
+    # other kernels than on the small float64 maps above.
+    @pytest.mark.parametrize("c,out_c", [(1, 8), (8, 8), (8, 2)])
+    @pytest.mark.parametrize("rate", [1, 2, 16])
+    def test_dilated_backward_bit_for_bit_at_model_shapes(self, c, out_c, rate):
+        rng = RNG(4)
+        x = rng.standard_normal((1, c, 64, 64)).astype(np.float32)
+        w = rng.standard_normal((out_c, c, 3, 3)).astype(np.float32)
+        b = rng.standard_normal(out_c).astype(np.float32)
+        g = rng.standard_normal((1, out_c, 64, 64)).astype(np.float32)
+        gx, gw, gb = conv_dilated_backward(x, ConvLayer(w, b, convops.DILATED, rate), g)
+        rates = np.full((1, 1, 64, 64), rate, dtype=np.float32)
+        agx, agw, agb, _ = asc_conv_backward(x, ConvLayer(w, b, convops.ADAPTIVE), rates, g)
+        assert gw.tobytes() == agw.tobytes() and gb.tobytes() == agb.tobytes()
+        assert agx.dtype == gx.dtype and np.allclose(gx, agx, rtol=1e-6, atol=1e-6)
+
     def test_dilated_rate_one_equals_classic_backward(self):
         rng = RNG(3)
         x = rng.standard_normal((1, 2, 5, 5))
@@ -437,19 +454,22 @@ class TestAscBackward:
 
     def test_all_gradients_match_finite_differences(self):
         rng = RNG(2)
-        x = rng.standard_normal((1, 2, 6, 6))
-        a = make_layer(rng, 2, 2, convops.ADAPTIVE)
-        rates = rng.uniform(0.3, 2.3, (1, 1, 6, 6))
-        rates = np.where(np.abs(rates - np.round(rates)) < 1e-3,
-                         rates + 2e-3, rates)
-        g = rng.standard_normal((1, 2, 6, 6))
-        loss = lambda: float((asc_conv_forward(x, a, rates) * g).sum())
-        gx, gw, gb, gr = asc_conv_backward(x, a, rates, g)
-        h = 1e-4
-        assert rel_err(gx, fd_grad(loss, x, h)) < 1e-4
-        assert rel_err(gw, fd_grad(loss, a.weights, h)) < 1e-4
-        assert rel_err(gb, fd_grad(loss, a.bias, h)) < 1e-4
-        assert rel_err(gr, fd_grad(loss, rates, h)) < 1e-4
+        # A mixed 2->2 layer, then a widening (sample-first) 2->3 and a
+        # narrowing (mixed) 3->2 one.
+        for c, o in ((2, 2), (2, 3), (3, 2)):
+            x = rng.standard_normal((1, c, 6, 6))
+            a = make_layer(rng, o, c, convops.ADAPTIVE)
+            rates = rng.uniform(0.3, 2.3, (1, 1, 6, 6))
+            rates = np.where(np.abs(rates - np.round(rates)) < 1e-3,
+                             rates + 2e-3, rates)
+            g = rng.standard_normal((1, o, 6, 6))
+            loss = lambda: float((asc_conv_forward(x, a, rates) * g).sum())
+            gx, gw, gb, gr = asc_conv_backward(x, a, rates, g)
+            h = 1e-4
+            assert rel_err(gx, fd_grad(loss, x, h)) < 1e-4
+            assert rel_err(gw, fd_grad(loss, a.weights, h)) < 1e-4
+            assert rel_err(gb, fd_grad(loss, a.bias, h)) < 1e-4
+            assert rel_err(gr, fd_grad(loss, rates, h)) < 1e-4
 
     def test_cache_matches_recompute(self):
         rng = RNG(3)
@@ -536,32 +556,32 @@ class TestSamplingOperator:
 
 
 class TestTapBlocks:
-    """The forward samples one (N, N) tap block of S at a time."""
+    """A widening layer's forward samples one (N, N) tap block of S at a
+    time."""
 
     @staticmethod
-    def _setup(dtype, rate_dtype=None, c=32, size=64):
+    def _setup(dtype, rate_dtype=None, c=32, size=64, out_c=None):
         rng = RNG(30)
         x = rng.standard_normal((1, c, size, size)).astype(dtype)
-        a = make_layer(rng, c, c, convops.ADAPTIVE)
+        a = make_layer(rng, out_c or c, c, convops.ADAPTIVE)
         a = ConvLayer(a.weights.astype(dtype), a.bias.astype(dtype),
                       convops.ADAPTIVE)
         rates = rng.uniform(0.0, 4.0, (1, 1, size, size))
         return x, a, rates.astype(rate_dtype or dtype)
 
     def test_forward_peak_memory_stays_near_the_tap_columns(self):
-        x, a, rates = self._setup(np.float32)
+        x, a, rates = self._setup(np.float32, out_c=64)
         plan = convops.build_sampling_plan(rates, 64, 64)
         asc_conv_forward(x, a, rates, plan=plan)
         tracemalloc.start()
         try:
-            _, (_, _, sampled) = asc_conv_forward(x, a, rates, plan=plan,
-                                                  return_cache=True)
+            asc_conv_forward(x, a, rates, plan=plan)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # A whole-image (9N, C) product next to the (C, 9, N) columns would
         # take the peak past 2x.
-        assert peak < 1.5 * sampled.nbytes
+        assert peak < 1.5 * (32 * 9 * 64 * 64 * 4)
 
     @pytest.mark.parametrize("rate", [1, 16])
     def test_integer_backward_peak_memory_stays_near_one_column_array(self, rate):
@@ -578,23 +598,24 @@ class TestTapBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Two (C, 9, H*W) arrays alive at once would take the peak past 2x.
+        # Two (9, O, H*W) tap-gradient arrays alive at once would take the
+        # peak past 2x.
         assert peak < 1.5 * (8 * 9 * 64 * 64 * 4)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_whole_matrix_product_bit_for_bit(self, dtype):
-        x, a, rates = self._setup(dtype, c=8, size=24)
+        x, a, rates = self._setup(dtype, c=8, size=24, out_c=16)
         plan = convops.build_sampling_plan(rates, 24, 24)
         n = 24 * 24
         xt = np.ascontiguousarray(x[0].reshape(8, n).T)
         ref_cols = np.ascontiguousarray(
             (plan.S @ xt).reshape(9, n, 8).transpose(2, 0, 1))
-        ref = (a.weights.reshape(8, 72) @ ref_cols.reshape(72, n)
-               + a.bias[:, None]).reshape(1, 8, 24, 24)
-        y, (_, _, sampled) = asc_conv_forward(x, a, rates, plan=plan,
-                                              return_cache=True)
-        assert sampled.tobytes() == ref_cols.tobytes()
-        assert y.dtype == dtype and y.tobytes() == ref.tobytes()
+        ref = (a.weights.reshape(16, 72) @ ref_cols.reshape(72, n)
+               + a.bias[:, None]).reshape(1, 16, 24, 24)
+        assert convops._sample(xt, plan).tobytes() == ref_cols.tobytes()
+        for cached in (False, True):
+            y = _y(asc_conv_forward(x, a, rates, plan=plan, return_cache=cached))
+            assert y.dtype == dtype and y.tobytes() == ref.tobytes()
 
     def test_float32_input_with_float64_rates_gives_float64(self):
         x, a, rates = self._setup(np.float32, np.float64, c=4, size=12)
@@ -617,25 +638,28 @@ class TestTapBlocks:
 
 
 class TestMixedForm:
-    """A forward that keeps no cache, of a layer that does not widen, mixes
-    its channels first. In float64 it matches the sample-first form to
-    1e-12 of the output's largest value."""
+    """A layer that does not widen mixes its channels first, with or
+    without a cache. In float64 it matches the sample-first form,
+    W·cols + b over the gathered tap columns, to 1e-12 of the output's
+    largest value."""
 
     SHAPES = [(1, 1), (32, 2), (3, 3), (4, 2)]   # (in, out) channels
 
     @staticmethod
-    def _compare(forward, x, layer):
-        mixed = forward(x, layer, False)
-        sampled = forward(x, layer, True)[0]
-        assert mixed.shape == sampled.shape and mixed.dtype == sampled.dtype
-        scale = np.abs(sampled).max()
-        assert np.abs(mixed - sampled).max() <= 1e-12 * scale
+    def _compare(forward, x, layer, cols):
+        sampled = convops._contract(cols, layer).reshape((1, -1) + x.shape[2:])
+        for cached in (False, True):
+            mixed = _y(forward(x, layer, cached))
+            assert mixed.shape == sampled.shape and mixed.dtype == sampled.dtype
+            scale = np.abs(sampled).max()
+            assert np.abs(mixed - sampled).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("c,o", SHAPES)
     def test_classic_matches_sample_first(self, c, o):
         rng = RNG(60)
         x = rng.standard_normal((1, c, 7, 9))
-        self._compare(conv_classic_forward, x, make_layer(rng, o, c, convops.CLASSIC))
+        self._compare(conv_classic_forward, x, make_layer(rng, o, c, convops.CLASSIC),
+                      convops._integer_cols(x[0], 1))
 
     # Rates past the 7x9 map's sides shift taps by a side or more.
     @pytest.mark.parametrize("c,o", SHAPES)
@@ -644,7 +668,8 @@ class TestMixedForm:
         rng = RNG(61)
         x = rng.standard_normal((1, c, 7, 9))
         self._compare(conv_dilated_forward, x,
-                      make_layer(rng, o, c, convops.DILATED, rate))
+                      make_layer(rng, o, c, convops.DILATED, rate),
+                      convops._integer_cols(x[0], rate))
 
     @pytest.mark.parametrize("c,o", SHAPES)
     @pytest.mark.parametrize("field", ["zero", "integer", "fractional", "offimage"])
@@ -660,7 +685,8 @@ class TestMixedForm:
         plan = convops.build_sampling_plan(rates, 7, 9)
         self._compare(lambda x_, l_, cached: asc_conv_forward(
             x_, l_, None, plan=plan, return_cache=cached),
-            x, make_layer(rng, o, c, convops.ADAPTIVE))
+            x, make_layer(rng, o, c, convops.ADAPTIVE),
+            convops._sample(np.ascontiguousarray(x[0].reshape(c, -1).T), plan))
 
     def test_rows_regroup_s_and_are_built_once(self):
         rates = RNG(63).uniform(0.0, 6.0, (1, 1, 5, 6))
@@ -671,16 +697,19 @@ class TestMixedForm:
         rows = plan.rows
         assert rows.shape == (n, 9 * n)
         assert np.array_equal(rows.toarray(), dense.transpose(1, 0, 2).reshape(n, 9 * n))
-        assert np.array_equal(plan.ST.toarray(), plan.S.toarray().T)
-        st_ = plan.ST
+        assert np.array_equal(rows.T.toarray(), dense.transpose(1, 0, 2).reshape(n, 9 * n).T)
+        drows = plan.Drows
+        ddense = plan.D.toarray().reshape(9, n, n)
+        assert np.array_equal(drows.toarray(), ddense.transpose(1, 0, 2).reshape(n, 9 * n))
+        assert drows.nnz == np.count_nonzero(plan.D.data) < plan.D.nnz
         rng = RNG(64)
         x = rng.standard_normal((1, 3, 5, 6))
-        for o in (3, 2):
+        for o in (4, 3, 2):
             layer = make_layer(rng, o, 3, convops.ADAPTIVE)
             y, cache = asc_conv_forward(x, layer, None, plan=plan, return_cache=True)
             asc_conv_forward(x, layer, None, plan=plan)
             asc_conv_backward(x, layer, None, rng.standard_normal(y.shape), cache=cache)
-        assert plan.rows is rows and plan.ST is st_
+        assert plan.rows is rows and plan.Drows is drows
 
     def test_rows_hold_only_the_nonzero_corners(self):
         rates = RNG(66).uniform(0.0, 4.0, (1, 1, 5, 6))

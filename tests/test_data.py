@@ -185,12 +185,13 @@ class TestPgm:
 
     @pytest.mark.parametrize("values,maxval,message", [
         (np.zeros(4, np.uint8), 255, "PGM payload must be 2-D"),
+        (np.zeros((0, 3), np.uint8), 255, r"non-empty, got shape \(0, 3\)"),
         (np.zeros((2, 2), np.uint8), 0, r"maxval must be in \[1, 65535\]"),
         (np.zeros((2, 2), np.uint16), 65536, r"maxval must be in \[1, 65535\]"),
         (np.array([[7, 101]]), 100, "PGM sample values out of range"),
         (np.array([[0.7, 254.9]]), 255, "PGM payload must be integers"),
         (np.array([[np.nan, 1.0]]), 255, "PGM payload must be integers"),
-    ], ids=["1d", "maxval-0", "maxval-65536", "above-maxval", "float", "nan"])
+    ], ids=["1d", "empty", "maxval-0", "maxval-65536", "above-maxval", "float", "nan"])
     def test_write_rejects_what_cannot_be_read_back(self, tmp_path, values,
                                                    maxval, message):
         path = tmp_path / "x.pgm"

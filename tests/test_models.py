@@ -167,6 +167,10 @@ class TestModelForward:
         plan = cache["asc_caches"][0][0]
         assert all(c[0] is plan for c in cache["asc_caches"])
         assert np.array_equal(plan.rates, rates.reshape(-1))
+        # Each conv cache keeps its (H*W, O) rate-gradient factor, and no
+        # (C, 9, H*W) tap columns.
+        for c, layer in zip(cache["asc_caches"], m.layers):
+            assert c[2].shape == (12 * 12, layer.out_channels)
 
 
 class TestModelBackward:
