@@ -16,11 +16,8 @@ skips the nine per-tap transposes that build the tap columns, and at
 bias in place and is returned as a transposed view, with no copy, which
 the next mixed layer reads as a C-contiguous (H*W, C) operand.
 
-Every backward is one adjoint: each tap's spatial step carries the
-output gradient back as (9, O, H*W) tap gradients (`_shift_adjoint`, or
-`SamplingPlan.rows` transposed), and one shared `_unmix` forms the weight
-and input gradients with two GEMMs. The adaptive rate gradient is the
-row-wise dot of the output gradient with the forward's cached factor P.
+Every backward carries the output gradient back through each tap's
+spatial step, and one shared `_unmix` forms both gradients with two GEMMs.
 
 Classic is dilated at rate 1, and a constant integer rate field makes
 the adaptive operator reproduce both bit for bit, in either form, and
@@ -136,27 +133,21 @@ def _check_input(x: np.ndarray, layer: ConvLayer, kind: str,
 def _contract(cols: np.ndarray, layer: ConvLayer) -> np.ndarray:
     """W·cols + b: (C, 9, N) tap columns -> (O, N) output."""
     wmat = layer.weights.reshape(layer.out_channels, -1)
-    y = wmat @ cols.reshape(wmat.shape[1], -1)
-    y += layer.bias[:, None].astype(cols.dtype)
-    return y
+    bias = layer.bias[:, None].astype(cols.dtype)
+    return wmat @ cols.reshape(wmat.shape[1], -1) + bias
 
 
 def _samples_first(layer: ConvLayer) -> bool:
-    """The form rule: sample first when the layer widens; otherwise mix
-    the channels first."""
+    """The form rule: a widening layer samples first, any other mixes first."""
     return layer.out_channels > layer.in_channels
-
-
-def _tap_weights(layer: ConvLayer) -> np.ndarray:
-    """Each tap's (C, O) weights, as C-contiguous (9, C, O)."""
-    w9 = layer.weights.reshape(layer.out_channels, layer.in_channels, 9)
-    return np.ascontiguousarray(w9.transpose(2, 1, 0))
 
 
 def _mix(x3: np.ndarray, layer: ConvLayer) -> np.ndarray:
     """Channels mixed before sampling: the (N, C) transposed input times
     each tap's (C, O) weights, as (9, N, O); shared by every kind."""
-    return np.matmul(x3.reshape(x3.shape[0], -1).T, _tap_weights(layer))
+    c = x3.shape[0]
+    w9 = layer.weights.reshape(layer.out_channels, c, 9).transpose(2, 1, 0)
+    return np.matmul(x3.reshape(c, -1).T, np.ascontiguousarray(w9))
 
 
 def _finish(y: np.ndarray, layer: ConvLayer, h: int, w: int) -> np.ndarray:
@@ -225,10 +216,9 @@ def _shift_sum(z: np.ndarray, rate: int, h: int, w: int) -> np.ndarray:
 
 
 def _shift_adjoint(g: np.ndarray, rate: int, h: int, w: int) -> np.ndarray:
-    """Adjoint of `_shift_sum`: the (O, N) output gradient carried back
-    through each tap's flat shifted run, as (9, O, N) tap gradients. A run
-    is added onto +0, as a CSR product adds it; the rest of a tap's row,
-    and the columns its run reads across a row edge, are zero."""
+    """Adjoint of `_shift_sum`: (O, N) output gradient -> (9, O, N) tap
+    gradients. Each run is added onto +0, as a CSR product adds it; the
+    rest of a tap's row, and the columns read across a row edge, are 0."""
     ut = np.empty((9,) + g.shape, dtype=g.dtype)
     rows = ut.reshape(9, -1, h, w)
     shifts = _flat_shifts(h, w, rate)
@@ -292,10 +282,10 @@ class SamplingPlan:
     to the pixel's rate on the same sparsity pattern. `taps` holds the
     nine (H*W, H*W) row blocks of `S`, one per tap, as zero-copy CSR views
     of its arrays; a widening layer's forward reads every channel one tap
-    block at a time. `rows` and `Drows`, `S` and `D` regrouped by output
-    pixel without their zeros, serve every other forward and every
-    backward; they are built on first use and kept. Shared by every
-    adaptive layer consuming the same rate field.
+    block at a time, and a cached one `D`'s blocks `dtaps` too. `rows` and
+    `Drows`, `S` and `D` by output pixel without their zeros, serve every
+    other forward and every backward. The other views are built on first
+    use and kept. Shared by every adaptive layer on the same rate field.
     """
 
     height: int
@@ -359,9 +349,13 @@ class SamplingPlan:
         return self._by_pixel(self.S)
 
     @functools.cached_property
+    def dtaps(self):
+        """`D`'s tap blocks, as `taps` are `S`'s; built on first use."""
+        return _tap_blocks(self.D)
+
+    @functools.cached_property
     def Drows(self):
-        """`D` by output pixel, without its zeros: times the mixed tap
-        products, a training forward's rate-gradient factor."""
+        """`D` by output pixel: times the mixed tap products, P."""
         return self._by_pixel(self.D)
 
 
@@ -434,22 +428,31 @@ def build_sampling_plan(rates: np.ndarray, h: int, w: int) -> SamplingPlan:
     idx = idx.reshape(-1)
     S = sparse.csr_array((weight.reshape(-1), idx, indptr), shape=shape)
     D = sparse.csr_array((dwdr.reshape(-1), idx, indptr), shape=shape)
+    return SamplingPlan(h, w, r, S, D, _tap_blocks(S))
+
+
+def _tap_blocks(op) -> tuple:
+    """The nine (H*W, H*W) row blocks of `S` or `D`, as CSR views."""
+    from scipy import sparse
+
+    n = op.shape[1]
     # Every row holds exactly 4 entries, so tap t's row block is a slice of
-    # S's arrays with the first N+1 row pointers. The slices are attached
+    # op's arrays with the first N+1 row pointers. The slices are attached
     # after construction, because scipy's constructor copies an array that
     # is much smaller than the one it views.
     taps = []
-    for data, indices in zip(S.data.reshape(9, -1), S.indices.reshape(9, -1)):
-        block = sparse.csr_array((n, n), dtype=dtype)
-        block.data, block.indices, block.indptr = data, indices, S.indptr[:n + 1]
+    for data, indices in zip(op.data.reshape(9, -1), op.indices.reshape(9, -1)):
+        block = sparse.csr_array((n, n), dtype=op.dtype)
+        block.data, block.indices, block.indptr = data, indices, op.indptr[:n + 1]
         taps.append(block)
-    return SamplingPlan(h, w, r, S, D, tuple(taps))
+    return tuple(taps)
 
 
-def _sample(xt: np.ndarray, plan: SamplingPlan) -> np.ndarray:
-    """Bilinear reads of every tap and channel of the C-contiguous (H*W, C)
-    transposed input through `plan`, as C-contiguous (C, 9, H*W) tap
-    columns."""
+def _sample(xt: np.ndarray, taps: tuple, out=None) -> np.ndarray:
+    """Reads of every tap and channel of the C-contiguous (H*W, C)
+    transposed input through the tap blocks `taps` (`plan.taps`, or
+    `plan.dtaps` for their rate derivatives), as C-contiguous (C, 9, H*W)
+    tap columns, written into `out` if given."""
     n, c = xt.shape
     # Channel-major columns feed the same contraction as the integer convs,
     # which keeps rate 1 bit-identical to classic. Each tap block's (N, C)
@@ -457,26 +460,27 @@ def _sample(xt: np.ndarray, plan: SamplingPlan) -> np.ndarray:
     # whole-image (9*N, C) product would be a zero-filled 4.7 MB temporary
     # at C=32 that the allocator returns to the OS after every layer, so
     # the next layer page-faults it in again.
-    sampled = np.empty((c, 9, n), dtype=np.result_type(plan.S.dtype, xt.dtype))
-    for t, s_t in enumerate(plan.taps):
-        sampled[:, t] = (s_t @ xt).T
-    return sampled
+    if out is None:
+        out = np.empty((c, 9, n), dtype=np.result_type(taps[0].dtype, xt.dtype))
+    for t, s_t in enumerate(taps):
+        out[:, t] = (s_t @ xt).T
+    return out
 
 
 def _asc_forward(x3, layer, plan, return_cache):
     """The adaptive forward; its cache is (plan, (C, H*W) input, P), where
     P = Σ_t D_t·X·W_tᵀ is the output's (H*W, O) derivative by each rate."""
     c, h, w = x3.shape
-    n = h * w
-    x2 = x3.reshape(c, n)
+    x2 = x3.reshape(c, -1)
     if _samples_first(layer):
         xt = np.ascontiguousarray(x2.T)
-        y = _contract(_sample(xt, plan), layer).reshape(1, -1, h, w)
-        if return_cache:    # W·(D-sampled columns), as one (N, 9C) GEMM
-            dcols = (plan.D @ xt).reshape(9, n, c).transpose(1, 0, 2).reshape(n, 9 * c)
-            p = dcols @ _tap_weights(layer).reshape(9 * c, -1)
+        cols = _sample(xt, plan.taps)
+        y = _contract(cols, layer).reshape(1, -1, h, w)
+        if return_cache:    # W·(the D-read columns), in the columns' buffer
+            wmat = layer.weights.reshape(layer.out_channels, -1)
+            p = (wmat @ _sample(xt, plan.dtaps, cols).reshape(wmat.shape[1], -1)).T
     else:
-        z = _mix(x3, layer).reshape(9 * n, -1)
+        z = _mix(x3, layer).reshape(-1, layer.out_channels)
         y = _finish(plan.rows @ z, layer, h, w)
         if return_cache:
             p = plan.Drows @ z
@@ -510,7 +514,6 @@ def asc_conv_backward(x, layer, rates, grad_y, cache=None):
     if cache is None:
         cache = _asc_forward(x3, layer, build_sampling_plan(rates, h, w), True)[1]
     plan, x2, p = cache
-
     n = h * w
     g = grad_y.reshape(layer.out_channels, n)
     # The tap gradients, (9*N, O) in S's row order, transposed once.

@@ -569,19 +569,24 @@ class TestTapBlocks:
         rates = rng.uniform(0.0, 4.0, (1, 1, size, size))
         return x, a, rates.astype(rate_dtype or dtype)
 
+    # 32 -> 33 channels: the narrowest layer on 32 that still widens, so
+    # samples first. The (N, C) input, the output and its bias sum fit
+    # beside the (C, 9, N) columns in half their size; a cached forward
+    # reads D's columns into the same buffer before it forms P.
     def test_forward_peak_memory_stays_near_the_tap_columns(self):
-        x, a, rates = self._setup(np.float32, out_c=64)
+        x, a, rates = self._setup(np.float32, out_c=33)
         plan = convops.build_sampling_plan(rates, 64, 64)
-        asc_conv_forward(x, a, rates, plan=plan)
-        tracemalloc.start()
-        try:
-            asc_conv_forward(x, a, rates, plan=plan)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # A whole-image (9N, C) product next to the (C, 9, N) columns would
-        # take the peak past 2x.
-        assert peak < 1.5 * (32 * 9 * 64 * 64 * 4)
+        for cached in (False, True):
+            asc_conv_forward(x, a, rates, plan=plan, return_cache=cached)
+            tracemalloc.start()
+            try:
+                asc_conv_forward(x, a, rates, plan=plan, return_cache=cached)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # A whole-image (9N, C) product next to the (C, 9, N) columns
+            # would take the peak past 2x.
+            assert peak < 1.5 * (32 * 9 * 64 * 64 * 4), cached
 
     @pytest.mark.parametrize("rate", [1, 16])
     def test_integer_backward_peak_memory_stays_near_one_column_array(self, rate):
@@ -612,7 +617,7 @@ class TestTapBlocks:
             (plan.S @ xt).reshape(9, n, 8).transpose(2, 0, 1))
         ref = (a.weights.reshape(16, 72) @ ref_cols.reshape(72, n)
                + a.bias[:, None]).reshape(1, 16, 24, 24)
-        assert convops._sample(xt, plan).tobytes() == ref_cols.tobytes()
+        assert convops._sample(xt, plan.taps).tobytes() == ref_cols.tobytes()
         for cached in (False, True):
             y = _y(asc_conv_forward(x, a, rates, plan=plan, return_cache=cached))
             assert y.dtype == dtype and y.tobytes() == ref.tobytes()
@@ -628,13 +633,13 @@ class TestTapBlocks:
         _, _, rates = self._setup(np.float64, c=1, size=7)
         plan = convops.build_sampling_plan(rates, 7, 7)
         n = 49
-        assert len(plan.taps) == 9
-        for t, block in enumerate(plan.taps):
-            assert block.shape == (n, n)
-            for name in ("data", "indices", "indptr"):
-                assert np.shares_memory(getattr(block, name), getattr(plan.S, name))
-            assert np.array_equal(block.toarray(),
-                                  plan.S[t * n:(t + 1) * n].toarray())
+        for op, taps in ((plan.S, plan.taps), (plan.D, plan.dtaps)):
+            assert len(taps) == 9
+            for t, block in enumerate(taps):
+                assert block.shape == (n, n)
+                for name in ("data", "indices", "indptr"):
+                    assert np.shares_memory(getattr(block, name), getattr(op, name))
+                assert np.array_equal(block.toarray(), op[t * n:(t + 1) * n].toarray())
 
 
 class TestMixedForm:
@@ -686,7 +691,7 @@ class TestMixedForm:
         self._compare(lambda x_, l_, cached: asc_conv_forward(
             x_, l_, None, plan=plan, return_cache=cached),
             x, make_layer(rng, o, c, convops.ADAPTIVE),
-            convops._sample(np.ascontiguousarray(x[0].reshape(c, -1).T), plan))
+            convops._sample(np.ascontiguousarray(x[0].reshape(c, -1).T), plan.taps))
 
     def test_rows_regroup_s_and_are_built_once(self):
         rates = RNG(63).uniform(0.0, 6.0, (1, 1, 5, 6))
