@@ -279,12 +279,10 @@ class SamplingPlan:
     is clipped in-bounds). 11 of a pixel's 36 entries are always zero: a
     tap's second corner along an axis where it does not move, and the
     centre tap's three. `D` holds the weights' derivatives with respect
-    to the pixel's rate on the same sparsity pattern. `taps` holds the
-    nine (H*W, H*W) row blocks of `S`, one per tap, as zero-copy CSR views
-    of its arrays; a widening layer's forward reads every channel one tap
-    block at a time, and a cached one `D`'s blocks `dtaps` too. `rows` and
-    `Drows`, `S` and `D` by output pixel without their zeros, serve every
-    other forward and every backward. The other views are built on first
+    to the pixel's rate on the same sparsity pattern. A widening layer's
+    forward reads `S`, and a cached one `D` too, one channel at a time.
+    `rows` and `Drows`, `S` and `D` by output pixel without their zeros,
+    serve every other forward and every backward; they are built on first
     use and kept. Shared by every adaptive layer on the same rate field.
     """
 
@@ -293,7 +291,6 @@ class SamplingPlan:
     rates: np.ndarray                  # (H*W,)
     S: object = field(repr=False)      # scipy CSR, (9*H*W, H*W)
     D: object = field(repr=False)      # scipy CSR, same pattern as S
-    taps: tuple = field(repr=False)    # 9 scipy CSR, (H*W, H*W), views of S
 
     def _corner_view(self, a):
         return a.reshape(9, -1, 4).transpose(0, 2, 1)
@@ -347,11 +344,6 @@ class SamplingPlan:
         +0, as `_shift_sum` does, and its transpose adds each output
         gradient onto +0 once, as `_shift_adjoint` does."""
         return self._by_pixel(self.S)
-
-    @functools.cached_property
-    def dtaps(self):
-        """`D`'s tap blocks, as `taps` are `S`'s; built on first use."""
-        return _tap_blocks(self.D)
 
     @functools.cached_property
     def Drows(self):
@@ -428,57 +420,38 @@ def build_sampling_plan(rates: np.ndarray, h: int, w: int) -> SamplingPlan:
     idx = idx.reshape(-1)
     S = sparse.csr_array((weight.reshape(-1), idx, indptr), shape=shape)
     D = sparse.csr_array((dwdr.reshape(-1), idx, indptr), shape=shape)
-    return SamplingPlan(h, w, r, S, D, _tap_blocks(S))
+    return SamplingPlan(h, w, r, S, D)
 
 
-def _tap_blocks(op) -> tuple:
-    """The nine (H*W, H*W) row blocks of `S` or `D`, as CSR views."""
-    from scipy import sparse
-
-    n = op.shape[1]
-    # Every row holds exactly 4 entries, so tap t's row block is a slice of
-    # op's arrays with the first N+1 row pointers. The slices are attached
-    # after construction, because scipy's constructor copies an array that
-    # is much smaller than the one it views.
-    taps = []
-    for data, indices in zip(op.data.reshape(9, -1), op.indices.reshape(9, -1)):
-        block = sparse.csr_array((n, n), dtype=op.dtype)
-        block.data, block.indices, block.indptr = data, indices, op.indptr[:n + 1]
-        taps.append(block)
-    return tuple(taps)
-
-
-def _sample(xt: np.ndarray, taps: tuple, out=None) -> np.ndarray:
-    """Reads of every tap and channel of the C-contiguous (H*W, C)
-    transposed input through the tap blocks `taps` (`plan.taps`, or
-    `plan.dtaps` for their rate derivatives), as C-contiguous (C, 9, H*W)
-    tap columns, written into `out` if given."""
-    n, c = xt.shape
+def _sample(x2: np.ndarray, op, out=None) -> np.ndarray:
+    """Reads of every tap of each channel of the (C, H*W) input through
+    `op` (`plan.S`, or `plan.D` for their rate derivatives), as
+    C-contiguous (C, 9, H*W) tap columns, written into `out` if given."""
+    c, n = x2.shape
     # Channel-major columns feed the same contraction as the integer convs,
-    # which keeps rate 1 bit-identical to classic. Each tap block's (N, C)
-    # product is transposed into place while it is still in cache. A
-    # whole-image (9*N, C) product would be a zero-filled 4.7 MB temporary
-    # at C=32 that the allocator returns to the OS after every layer, so
-    # the next layer page-faults it in again.
+    # which keeps rate 1 bit-identical to classic. One product per channel
+    # makes neither a transposed input nor a (9*N, C) temporary; each row
+    # sums its corners in the order a whole-image `op @ Xᵀ` does.
     if out is None:
-        out = np.empty((c, 9, n), dtype=np.result_type(taps[0].dtype, xt.dtype))
-    for t, s_t in enumerate(taps):
-        out[:, t] = (s_t @ xt).T
+        out = np.empty((c, 9, n), dtype=np.result_type(op.dtype, x2.dtype))
+    for cols, xc in zip(out, x2):
+        cols.reshape(-1)[:] = op @ xc
     return out
 
 
 def _asc_forward(x3, layer, plan, return_cache):
     """The adaptive forward; its cache is (plan, (C, H*W) input, P), where
-    P = Σ_t D_t·X·W_tᵀ is the output's (H*W, O) derivative by each rate."""
+    P = Σ_t D_t·X·W_tᵀ is the output's (H*W, O) derivative by each rate.
+    A widening layer reads `S`, and with a cache then `D`, one input
+    channel at a time."""
     c, h, w = x3.shape
     x2 = x3.reshape(c, -1)
     if _samples_first(layer):
-        xt = np.ascontiguousarray(x2.T)
-        cols = _sample(xt, plan.taps)
+        cols = _sample(x2, plan.S)
         y = _contract(cols, layer).reshape(1, -1, h, w)
         if return_cache:    # W·(the D-read columns), in the columns' buffer
             wmat = layer.weights.reshape(layer.out_channels, -1)
-            p = (wmat @ _sample(xt, plan.dtaps, cols).reshape(wmat.shape[1], -1)).T
+            p = (wmat @ _sample(x2, plan.D, cols).reshape(wmat.shape[1], -1)).T
     else:
         z = _mix(x3, layer).reshape(-1, layer.out_channels)
         y = _finish(plan.rows @ z, layer, h, w)

@@ -154,11 +154,13 @@ def _comparison_job(variant, seed):
     return dice, {k: v[0] / v[1] for k, v in sums.items()}
 
 
-def _runtime_warnings_as_errors():
-    """Worker initializer: a numpy overflow or invalid-value warning fails
-    the run, as pyproject's filter does in the test process, which spawned
-    workers do not inherit."""
+def _warnings_as_errors():
+    """Worker initializer: a numpy overflow or invalid-value warning, or a
+    deprecation that ascnet code triggers, fails the run, as pyproject's
+    filters do in the test process, which spawned workers do not inherit."""
     warnings.simplefilter("error", RuntimeWarning)
+    for category in (DeprecationWarning, FutureWarning):
+        warnings.filterwarnings("error", category=category, module="ascnet")
 
 
 @pytest.fixture(scope="module")
@@ -172,7 +174,7 @@ def comparison_runs():
     spawn = multiprocessing.get_context("spawn")
     with mock.patch.dict(os.environ, dict.fromkeys(_BLAS_THREAD_VARS, "1")), \
             ProcessPoolExecutor(min(9, os.cpu_count()), mp_context=spawn,
-                                initializer=_runtime_warnings_as_errors) as pool:
+                                initializer=_warnings_as_errors) as pool:
         futures = [pool.submit(_comparison_job, *job) for job in jobs]
         outcomes = [f.result() for f in futures]
     results = {v: [] for v, _ in jobs}

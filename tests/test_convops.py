@@ -509,28 +509,35 @@ class TestSamplingOperator:
         assert abs(lhs - float(np.vdot(x, gx))) <= 1e-12 * scale
         assert abs(lhs - float(np.vdot(a.weights, gw))) <= 1e-12 * scale
 
+    # A 2->2 layer mixes first; a widening 1->3 layer reads S, and with a
+    # cache D, one channel at a time.
     @pytest.mark.parametrize("field", ["zero", "integer", "offimage"])
     def test_oracle_at_degenerate_rates(self, field):
         rng = RNG(21)
-        x = rng.standard_normal((1, 2, 5, 5))
-        a = make_layer(rng, 2, 2, convops.ADAPTIVE)
-        if field == "zero":
-            rates = np.zeros((1, 1, 5, 5))
-        elif field == "integer":
-            rates = rng.integers(0, 4, (1, 1, 5, 5)).astype(np.float64)
-        else:
-            rates = np.full((1, 1, 5, 5), 7.0)  # every non-centre tap off-image
-        y = asc_conv_forward(x, a, rates)
-        assert np.allclose(y, oracle_asc_forward(x, a, rates), atol=1e-12)
-        if field == "offimage":
+        for c, o in ((2, 2), (1, 3)):
+            x = rng.standard_normal((1, c, 5, 5))
+            a = make_layer(rng, o, c, convops.ADAPTIVE)
+            if field == "zero":
+                rates = np.zeros((1, 1, 5, 5))
+            elif field == "integer":
+                rates = rng.integers(0, 4, (1, 1, 5, 5)).astype(np.float64)
+            else:
+                rates = np.full((1, 1, 5, 5), 7.0)  # every non-centre tap off-image
+            oracle = oracle_asc_forward(x, a, rates)
+            y, cache = asc_conv_forward(x, a, rates, return_cache=True)
+            assert np.allclose(y, oracle, atol=1e-12), (c, o)
+            assert np.allclose(asc_conv_forward(x, a, rates), oracle, atol=1e-12), (c, o)
+            if field != "offimage":
+                continue
             centre = np.einsum("oc,chw->ohw", a.weights[:, :, 1, 1], x[0])
             assert np.allclose(y[0], centre + a.bias[:, None, None], atol=1e-12)
             g = rng.standard_normal(y.shape)
-            gx, _, _, gr = asc_conv_backward(x, a, rates, g)
-            assert np.array_equal(gr, np.zeros_like(gr))
-            assert np.allclose(gx[0], np.einsum("oc,ohw->chw",
-                                                a.weights[:, :, 1, 1], g[0]),
-                               atol=1e-12)
+            for kept in (cache, None):
+                gx, _, _, gr = asc_conv_backward(x, a, rates, g, cache=kept)
+                assert np.array_equal(gr, np.zeros_like(gr)), (c, o)
+                assert np.allclose(gx[0], np.einsum("oc,ohw->chw",
+                                                    a.weights[:, :, 1, 1], g[0]),
+                                   atol=1e-12)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_backward_is_byte_deterministic(self, dtype):
@@ -556,8 +563,8 @@ class TestSamplingOperator:
 
 
 class TestTapBlocks:
-    """A widening layer's forward samples one (N, N) tap block of S at a
-    time."""
+    """A widening layer's forward reads S, and with a cache D, one input
+    channel at a time, into (C, 9, N) tap columns."""
 
     @staticmethod
     def _setup(dtype, rate_dtype=None, c=32, size=64, out_c=None):
@@ -607,20 +614,22 @@ class TestTapBlocks:
         # peak past 2x.
         assert peak < 1.5 * (8 * 9 * 64 * 64 * 4)
 
+    # One channel is the width every widening layer of the models reads.
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_whole_matrix_product_bit_for_bit(self, dtype):
-        x, a, rates = self._setup(dtype, c=8, size=24, out_c=16)
-        plan = convops.build_sampling_plan(rates, 24, 24)
-        n = 24 * 24
-        xt = np.ascontiguousarray(x[0].reshape(8, n).T)
-        ref_cols = np.ascontiguousarray(
-            (plan.S @ xt).reshape(9, n, 8).transpose(2, 0, 1))
-        ref = (a.weights.reshape(16, 72) @ ref_cols.reshape(72, n)
-               + a.bias[:, None]).reshape(1, 16, 24, 24)
-        assert convops._sample(xt, plan.taps).tobytes() == ref_cols.tobytes()
-        for cached in (False, True):
-            y = _y(asc_conv_forward(x, a, rates, plan=plan, return_cache=cached))
-            assert y.dtype == dtype and y.tobytes() == ref.tobytes()
+        for c in (1, 8):
+            x, a, rates = self._setup(dtype, c=c, size=24, out_c=16)
+            plan = convops.build_sampling_plan(rates, 24, 24)
+            n = 24 * 24
+            x2 = x[0].reshape(c, n)
+            ref_cols = np.ascontiguousarray(
+                (plan.S @ np.ascontiguousarray(x2.T)).reshape(9, n, c).transpose(2, 0, 1))
+            ref = (a.weights.reshape(16, 9 * c) @ ref_cols.reshape(9 * c, n)
+                   + a.bias[:, None]).reshape(1, 16, 24, 24)
+            assert convops._sample(x2, plan.S).tobytes() == ref_cols.tobytes(), c
+            for cached in (False, True):
+                y = _y(asc_conv_forward(x, a, rates, plan=plan, return_cache=cached))
+                assert y.dtype == dtype and y.tobytes() == ref.tobytes(), (c, cached)
 
     def test_float32_input_with_float64_rates_gives_float64(self):
         x, a, rates = self._setup(np.float32, np.float64, c=4, size=12)
@@ -628,18 +637,6 @@ class TestTapBlocks:
         assert y.dtype == np.float64
         ref = asc_conv_forward(x.astype(np.float64), a, rates)
         assert np.allclose(y, ref, rtol=1e-6, atol=1e-6)
-
-    def test_tap_blocks_share_memory_with_s(self):
-        _, _, rates = self._setup(np.float64, c=1, size=7)
-        plan = convops.build_sampling_plan(rates, 7, 7)
-        n = 49
-        for op, taps in ((plan.S, plan.taps), (plan.D, plan.dtaps)):
-            assert len(taps) == 9
-            for t, block in enumerate(taps):
-                assert block.shape == (n, n)
-                for name in ("data", "indices", "indptr"):
-                    assert np.shares_memory(getattr(block, name), getattr(op, name))
-                assert np.array_equal(block.toarray(), op[t * n:(t + 1) * n].toarray())
 
 
 class TestMixedForm:
@@ -691,7 +688,7 @@ class TestMixedForm:
         self._compare(lambda x_, l_, cached: asc_conv_forward(
             x_, l_, None, plan=plan, return_cache=cached),
             x, make_layer(rng, o, c, convops.ADAPTIVE),
-            convops._sample(np.ascontiguousarray(x[0].reshape(c, -1).T), plan.taps))
+            convops._sample(x[0].reshape(c, -1), plan.S))
 
     def test_rows_regroup_s_and_are_built_once(self):
         rates = RNG(63).uniform(0.0, 6.0, (1, 1, 5, 6))
